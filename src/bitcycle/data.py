@@ -13,7 +13,6 @@ file size) and the big-endian IDX layout used by MNIST-style corpora.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -83,19 +82,6 @@ class Normalization:
             np.asarray(d["mean"], dtype=np.float32),
             np.asarray(d["std"], dtype=np.float32),
         )
-
-
-def save_manifest(path: str, dataset_name: str, class_count: int, norm: Normalization) -> None:
-    payload = {"dataset": dataset_name, "class_count": class_count, **norm.to_dict()}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_manifest(path: str) -> tuple[str, int, Normalization]:
-    with open(path) as f:
-        d = json.load(f)
-    return d["dataset"], int(d["class_count"]), Normalization.from_dict(d)
 
 
 # ----------------------------------------------------------------------

@@ -242,11 +242,14 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Qua
     return QuantResNet(cfg, rng)
 
 
-def transfer_weights(source: dict[str, Tensor], target: dict[str, Tensor]) -> None:
+def transfer_weights(source: dict[str, Tensor | np.ndarray], target: dict[str, Tensor]) -> None:
     """Copy every tensor from source into target, bit-exactly.
 
-    Running statistics ride along with the weights. Name sets and shapes
-    must agree; mismatches raise with the full symmetric difference.
+    This is the one path that loads tensors into a model: the hand-off
+    between bit depths, resume, warm start and checkpoint evaluation all
+    go through it. Source values may be Tensors or bare arrays. Running
+    statistics ride along with the weights. Name sets and shapes must
+    agree; mismatches raise with the full symmetric difference.
     """
     src_names, dst_names = set(source), set(target)
     if src_names != dst_names:
@@ -255,12 +258,13 @@ def transfer_weights(source: dict[str, Tensor], target: dict[str, Tensor]) -> No
         raise ValueError(
             f"parameter name sets differ; only in source: {only_src}; only in target: {only_dst}"
         )
+    arrays = {n: getattr(v, "data", v) for n, v in source.items()}
     bad_shapes = [
-        (n, source[n].data.shape, target[n].data.shape)
-        for n in source
-        if source[n].data.shape != target[n].data.shape
+        (n, arr.shape, target[n].data.shape)
+        for n, arr in arrays.items()
+        if arr.shape != target[n].data.shape
     ]
     if bad_shapes:
-        raise ValueError(f"parameter shapes differ: {bad_shapes}")
-    for n, src in source.items():
-        np.copyto(target[n].data, src.data, casting="same_kind")
+        raise ValueError(f"parameter shapes differ (name, source, target): {bad_shapes}")
+    for n, arr in arrays.items():
+        np.copyto(target[n].data, arr, casting="same_kind")

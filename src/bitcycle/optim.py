@@ -76,10 +76,6 @@ class Sgd:
             p.data -= lr * _grad(name, p, self.cfg.weight_decay)
         self.step_count += 1
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
     def state_tensors(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -112,10 +108,6 @@ class Adam:
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * np.square(g)
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {}

@@ -145,10 +145,10 @@ def fq_weights(w: Tensor, k: int) -> Tensor:
     """Fake-quantize a weight tensor at bit depth k inside the autodiff graph.
 
     k = 32 returns the tensor untouched. k = 1 snaps to sign times mean
-    magnitude and masks the gradient to the [-1, 1] window. k >= 2 runs the
-    tanh normalization and lattice rounding; its backward differentiates the
-    smooth parts exactly, holding the max |tanh| scale fixed, and treats the
-    rounding as a straight pass-through.
+    magnitude and masks the gradient to the [-1, 1] window. k >= 2 runs
+    quantize_weights_kbit, the quantizer the oracle tests check; its backward
+    differentiates the tanh normalization exactly, holding the max |tanh|
+    scale fixed, and treats the rounding as a straight pass-through.
     """
     if k == REAL_BITS:
         return w
@@ -161,15 +161,13 @@ def fq_weights(w: Tensor, k: int) -> Tensor:
 
         return _node(out, (w,), backward)
 
-    _check_nonzero(wd, "fq_weights")
-    t = np.tanh(wd)
-    m = np.max(np.abs(t))
-    levels = float(2 ** k - 1)
-    wn = t / (2.0 * m) + 0.5
-    out = (2.0 * round_half_away(wn * levels) / levels - 1.0).astype(wd.dtype)
+    out = quantize_weights_kbit(wd, k).astype(wd.dtype)
 
     def backward(g):
-        return (g * (1.0 - t * t) / m,)
+        # wd is the live parameter array; backward runs before the optimizer
+        # updates it, so tanh and its max are those the forward pass used
+        t = np.tanh(wd)
+        return (g * (1.0 - t * t) / np.max(np.abs(t)),)
 
     return _node(out, (w,), backward)
 

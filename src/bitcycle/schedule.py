@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# perfbench/tracer.py wraps these names in this module's namespace; keep them imported here.
 from . import data as D
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config_text
@@ -247,18 +248,19 @@ def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimize
         shutil.copyfile(latest, os.path.join(out_dir, f"checkpoint_phase{phase.index:03d}.bin"))
 
 
+def _load_tensors(model: QuantResNet, tensors: dict[str, np.ndarray], origin: str) -> None:
+    try:
+        transfer_weights(tensors, model.params)
+    except ValueError as e:
+        raise CheckpointError(f"{origin} does not fit the model: {e}") from None
+
+
 def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
     """Rebuild the exact network a checkpoint was taken from."""
     cfg = RunConfig.from_raw(parse_config_text(ck.metadata["config"], origin="<checkpoint>"))
     model = build_model(cfg.model_config(int(ck.metadata["bit_depth"])),
                         rng=np.random.default_rng(0))
-    names_have = set(model.params)
-    names_want = set(ck.tensors)
-    if names_have != names_want:
-        missing = sorted(names_have ^ names_want)
-        raise CheckpointError(f"checkpoint tensors do not match the model: {missing[:6]}")
-    for name, arr in ck.tensors.items():
-        np.copyto(model.params[name].data, arr, casting="same_kind")
+    _load_tensors(model, ck.tensors, "checkpoint")
     return model, cfg
 
 
@@ -291,7 +293,6 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
             f"data.batch_size {batch_size} exceeds the training set size {len(train.labels)}"
         )
 
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
 
     start_phase = 0
@@ -314,6 +315,16 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         if start_phase >= len(phases):
             return read_metrics(os.path.join(out_dir, "metrics.csv"))
 
+    init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
+    model = build_model(cfg.model_config(phases[start_phase].bit_depth), rng=init_rng)
+    if loaded:
+        _load_tensors(model, loaded.tensors, ckpt_path)
+    elif cfg["schedule.initial_weights"]:
+        warm_path = str(cfg["schedule.initial_weights"])
+        _load_tensors(model, load_checkpoint(warm_path).tensors,
+                      f"schedule.initial_weights {warm_path}")
+
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.write(cfg.canonical_text())
 
@@ -325,38 +336,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     if loaded:
         rows = read_metrics(writer.metrics_path)
 
-    model: QuantResNet | None = None
-    if loaded:
-        model = build_model(cfg.model_config(phases[start_phase].bit_depth),
-                            rng=np.random.default_rng(0))
-        source_depth = int(loaded.metadata["bit_depth"])
-        if source_depth != phases[start_phase].bit_depth:
-            carrier = build_model(cfg.model_config(source_depth),
-                                  rng=np.random.default_rng(0))
-            for name, arr in loaded.tensors.items():
-                np.copyto(carrier.params[name].data, arr, casting="same_kind")
-            transfer_weights(carrier.params, model.params)
-        else:
-            for name, arr in loaded.tensors.items():
-                np.copyto(model.params[name].data, arr, casting="same_kind")
-
     iteration = int(loaded.metadata["iteration"]) if loaded else 0
     checkpoint_every = int(cfg["run.checkpoint_every"])
 
     try:
         for phase in phases[start_phase:]:
-            if model is None:
-                init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
-                model = build_model(cfg.model_config(phase.bit_depth), rng=init_rng)
-                if cfg["schedule.initial_weights"]:
-                    warm = load_checkpoint(str(cfg["schedule.initial_weights"]))
-                    for name, arr in warm.tensors.items():
-                        if name not in model.params:
-                            raise CheckpointError(
-                                f"initial weights tensor {name!r} has no home in this model"
-                            )
-                        np.copyto(model.params[name].data, arr, casting="same_kind")
-            elif model.cfg.bit_depth != phase.bit_depth:
+            if model.cfg.bit_depth != phase.bit_depth:
                 successor = build_model(cfg.model_config(phase.bit_depth),
                                         rng=np.random.default_rng(0))
                 transfer_weights(model.params, successor.params)

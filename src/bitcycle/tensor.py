@@ -29,10 +29,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A numpy array plus an optional gradient and a tape node.
 
@@ -79,12 +75,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # autograd engine

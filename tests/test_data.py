@@ -14,10 +14,8 @@ from bitcycle.data import (
     eval_batches,
     load_cifar,
     load_idx,
-    load_manifest,
     make_synthetic,
     read_idx,
-    save_manifest,
 )
 
 
@@ -218,15 +216,6 @@ class TestNormalization:
         z = norm.apply(x)
         np.testing.assert_allclose(z.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
         np.testing.assert_allclose(z.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
-
-    def test_manifest_roundtrip(self, tmp_path):
-        norm = Normalization(np.array([0.1, 0.2, 0.3], np.float32), np.array([1.0, 2.0, 3.0], np.float32))
-        p = tmp_path / "manifest.json"
-        save_manifest(str(p), "cifar-10", 10, norm)
-        name, classes, loaded = load_manifest(str(p))
-        assert (name, classes) == ("cifar-10", 10)
-        np.testing.assert_allclose(loaded.mean, norm.mean)
-        np.testing.assert_allclose(loaded.std, norm.std)
 
 
 class TestSubsetsAndSynthetic:

@@ -341,6 +341,35 @@ def test_single_mode_warm_start_changes_trajectory(tmp_path):
     assert [r.train_loss for r in hot_rows] != [r.train_loss for r in cold_rows]
 
 
+def test_warm_start_from_other_architecture_refused(tmp_path):
+    _run(tmp_path, "teacher", **{"schedule.mode": "single", "schedule.epochs": 1})
+    ckpt = str(tmp_path / "teacher" / "checkpoint.bin")
+    out = tmp_path / "student"
+    out.mkdir()
+    (out / "metrics.csv").write_bytes(b"earlier run\n")
+    values = tiny_values(**{"model.blocks_per_stage": (2, 1),
+                            "schedule.initial_weights": ckpt})
+    values["run.out_dir"] = str(out)
+    with pytest.raises(CheckpointError) as err:
+        run_schedule(RunConfig(values))
+    msg = str(err.value)
+    assert f"schedule.initial_weights {ckpt}" in msg
+    assert "stage0.block1.conv1.weight" in msg and "stage0.block1.bn2.running_var" in msg
+    assert (out / "metrics.csv").read_bytes() == b"earlier run\n"
+    assert not (out / "config.txt").exists()
+
+
+def test_misshaped_checkpoint_tensor_is_named(tmp_path):
+    _run(tmp_path, "run", **{"schedule.mode": "single", "schedule.epochs": 1})
+    ck = load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
+    good = ck.tensors["fc.weight"].shape
+    bad = (good[0] + 1, good[1])
+    ck.tensors["fc.weight"] = np.zeros(bad, np.float32)
+    with pytest.raises(ValueError) as err:
+        model_from_checkpoint(ck)
+    assert f"('fc.weight', {bad}, {good})" in str(err.value)
+
+
 def test_batch_size_larger_than_train_set_rejected(tmp_path):
     values = tiny_values(**{"data.batch_size": 4096})
     values["run.out_dir"] = str(tmp_path / "run")
