@@ -1,9 +1,11 @@
 """Neural-network ops on autodiff tensors: conv, batch norm, pooling, losses.
 
-Layout is fixed as NCHW for activations and OIHW for convolution weights.
-Convolution runs as im2col + GEMM; the backward pass rebuilds the column
-matrix instead of keeping it alive, trading a little compute for a much
-smaller peak footprint.
+The entry points take NCHW activations and OIHW convolution weights.
+Inside, convolution runs on a zero-padded channel-last copy of the input,
+split into stride phases, with one GEMM per kernel tap: each tap reads one
+contiguous row range of its phase, so no column matrix is built. Backward
+rebuilds the padded copy instead of keeping it alive, trading a little
+compute for a smaller peak footprint.
 """
 
 from __future__ import annotations
@@ -13,29 +15,21 @@ import numpy as np
 from .tensor import Tensor, _as_tensor, _node
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+def _padded_phases(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
+                   na: int, nb: int) -> np.ndarray:
+    """Zero-padded channel-last copy of an NCHW batch, split into stride phases.
+
+    Returns an (na, nb, n*hq*wq, c) array. Row (image, q, r) of phase (a, b)
+    holds padded pixel (q*stride + a, r*stride + b), so kernel tap (i, j)
+    reads one contiguous row range of phase (i % stride, j % stride). Only
+    the phases some tap reads (a < na, b < nb) are kept.
+    """
     n, c, h, w = xd.shape
-    if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw), oh, ow
-
-
-def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    n, c, h, w = xshape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    g = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += g[:, :, i, j]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+    s, p = stride, padding
+    padded = np.zeros((n, hq * s, wq * s, c), dtype=xd.dtype)
+    padded[:, p : p + h, p : p + w] = xd.transpose(0, 2, 3, 1)
+    grid = padded.reshape(n, hq, s, wq, s, c)[:, :, :na, :, :nb]
+    return grid.transpose(2, 4, 0, 1, 3, 5).reshape(na, nb, n * hq * wq, c)
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
@@ -50,16 +44,41 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input {xd.shape} has {c} channels, weight {wd.shape} expects {i}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ValueError(f"conv2d kernel {(kh, kw)} does not fit input {xd.shape} with padding {padding}")
-    w2 = wd.reshape(o, -1)
-    cols, oh, ow = _im2col(xd, kh, kw, stride, padding)
-    out = (cols @ w2.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    s = stride
+    oh = (h + 2 * padding - kh) // s + 1
+    ow = (w + 2 * padding - kw) // s + 1
+    hq, wq = -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
+    na, nb, rows = min(s, kh), min(s, kw), n * hq * wq
+    # tap (i, j) as (phase a, phase b, row offset): output grid row m reads
+    # phase row m + offset. Grid rows outside the valid oh x ow corner hold
+    # garbage in forward and get a zero gradient in backward.
+    taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
+
+    ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
+    acc = ph[0, 0] @ wk[0]
+    for t, (a, b, off) in enumerate(taps[1:], 1):
+        acc[: rows - off] += ph[a, b, off:] @ wk[t]
+    del ph
+    # a compact copy of the valid corner, so the output does not pin the grid
+    out = np.ascontiguousarray(acc.reshape(n, hq, wq, o)[:, :oh, :ow]).transpose(0, 3, 1, 2)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
-        cols_b, _, _ = _im2col(xd, kh, kw, stride, padding)
-        dw = (g2.T @ cols_b).reshape(wd.shape)
-        dx = _col2im(g2 @ w2, xd.shape, kh, kw, stride, padding)
-        return dx, dw
+        gf = np.zeros((n, hq, wq, o), dtype=g.dtype)
+        gf[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
+        gf = gf.reshape(rows, o)
+        ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
+        dph = np.zeros(ph.shape, dtype=np.result_type(g, wd))
+        dwk = np.empty((kh * kw, o, c), dtype=np.result_type(g, xd))
+        for t, (a, b, off) in enumerate(taps):
+            dwk[t] = gf[: rows - off].T @ ph[a, b, off:]
+            dph[a, b, off:] += gf[: rows - off] @ wk[t].T
+        del ph
+        dpad = np.zeros((n, hq * s, wq * s, c), dtype=dph.dtype)
+        dgrid = dpad.reshape(n, hq, s, wq, s, c)[:, :, :na, :, :nb]
+        dgrid[...] = dph.reshape(na, nb, n, hq, wq, c).transpose(2, 3, 0, 4, 1, 5)
+        dx = dpad[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
+        return dx, dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
 
     return _node(out, (x, weight), backward)
 

@@ -9,7 +9,8 @@ means quantization is disabled and every op is the identity.
 
 Rounding is half-away-from-zero everywhere, applied identically here and in
 any reference evaluation; numpy's round (banker's rounding) is deliberately
-not used.
+not used. Both lattice quantizers round values that are non-negative by
+construction, where half-away-from-zero is floor(v + 0.5).
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ class QuantErrorStats:
     level_histogram: dict[float, int]
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest with halves going away from zero."""
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-
-
 def _check_nonzero(w: np.ndarray, what: str) -> None:
     if w.size == 0:
         raise DegenerateInputError(f"{what}: empty tensor")
@@ -103,7 +99,7 @@ def quantize_weights_kbit(w: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"quantize_weights_kbit needs k >= 2, got {k}")
     levels = float(2 ** k - 1)
     wn = normalize_weights(w)
-    return 2.0 * round_half_away(wn * levels) / levels - 1.0
+    return 2.0 * np.floor(wn * levels + 0.5) / levels - 1.0
 
 
 def quantize_weights_binary(w: np.ndarray) -> np.ndarray:
@@ -122,7 +118,7 @@ def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"activation bit depth must be >= 1, got {k}")
     levels = float(2 ** k - 1)
-    return round_half_away(np.clip(x, 0.0, 1.0) * levels) / levels
+    return np.floor(np.clip(x, 0.0, 1.0) * levels + 0.5) / levels
 
 
 def apply_quantizer(x: np.ndarray, spec: QuantSpec) -> np.ndarray:

@@ -56,29 +56,70 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_matches_naive_convolution(self):
+        # kernels, strides and paddings of the models, on odd sizes where
+        # h + 2p is not a multiple of the stride
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 6, 5))
-        w = rng.standard_normal((4, 3, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+        for k in (1, 3, 7):
+            for stride in (1, 2):
+                for pad in (0, 1, 3):
+                    for h, w in ((7, 7), (5, 6), (6, 5), (8, 8)):
+                        if min(h, w) + 2 * pad < k:
+                            continue
+                        x = rng.standard_normal((2, 3, h, w))
+                        wt = rng.standard_normal((4, 3, k, k))
+                        out = conv2d(Tensor(x), Tensor(wt), stride=stride, padding=pad).data
+                        np.testing.assert_allclose(out, _naive_conv(x, wt, stride, pad), rtol=1e-12,
+                                                   err_msg=f"k={k} stride={stride} pad={pad} {h}x{w}")
 
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        oh = (6 + 2 - 3) // 2 + 1
-        ow = (5 + 2 - 3) // 2 + 1
-        ref = np.zeros((2, 4, oh, ow))
-        for n in range(2):
-            for o in range(4):
-                for i in range(oh):
-                    for j in range(ow):
-                        patch = xp[n, :, i * 2 : i * 2 + 3, j * 2 : j * 2 + 3]
-                        ref[n, o, i, j] = (patch * w[o]).sum()
-        np.testing.assert_allclose(out, ref, rtol=1e-12)
+    def test_channel_last_float32_input(self):
+        # conv and BN outputs are float32 NCHW views of channel-last memory;
+        # such an input must give the contiguous input's results, in float32
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 5, 7, 6)).astype(np.float32)
+        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.standard_normal((4, 5, 3, 3)).astype(np.float32)
+        for stride, pad in ((1, 1), (2, 1), (2, 0)):
+            grads = []
+            for xin in (x, x_cl):
+                xt, wt = Tensor(xin, requires_grad=True), Tensor(w, requires_grad=True)
+                out = conv2d(xt, wt, stride=stride, padding=pad)
+                out.backward(np.ones(out.shape))
+                grads.append((out.data, xt.grad, wt.grad))
+            for a, b in zip(*grads):
+                assert a.dtype == b.dtype == np.float32
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(grads[0][0], _naive_conv(x, w, stride, pad), rtol=1e-4, atol=1e-4)
+
+    def test_output_holds_no_larger_buffer(self):
+        # a view into the padded working grid would keep that grid alive
+        # for as long as the graph holds the output
+        rng = np.random.default_rng(14)
+        for k, stride, pad in ((3, 1, 1), (3, 2, 1), (1, 2, 0), (7, 2, 3)):
+            out = conv2d(Tensor(rng.standard_normal((2, 3, 9, 8))), Tensor(rng.standard_normal((4, 3, k, k))),
+                         stride=stride, padding=pad).data
+            assert out.base is None or out.base.size == out.size
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-            x = rng.standard_normal((2, 3, 6, 6))
-            w = rng.standard_normal((4, 3, 3, 3))
+        for k, stride, pad, size in [(3, 1, 0, 6), (3, 1, 1, 6), (3, 2, 1, 6), (1, 2, 0, 7), (3, 2, 1, 7)]:
+            x = rng.standard_normal((2, 3, size, size))
+            w = rng.standard_normal((4, 3, k, k))
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
+
+
+def _naive_conv(x, w, stride, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    k = w.shape[2]
+    oh = (xp.shape[2] - k) // stride + 1
+    ow = (xp.shape[3] - k) // stride + 1
+    ref = np.zeros((x.shape[0], w.shape[0], oh, ow))
+    for n in range(x.shape[0]):
+        for o in range(w.shape[0]):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[n, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                    ref[n, o, i, j] = (patch * w[o]).sum()
+    return ref
 
 
 class TestLinear:

@@ -15,7 +15,6 @@ from bitcycle.quantize import (
     quantize_activations,
     quantize_weights_binary,
     quantize_weights_kbit,
-    round_half_away,
     ste_backward,
     weight_spec,
 )
@@ -47,17 +46,6 @@ class TestSpecValidation:
         assert weight_spec(1).kind == "weight_binary"
         assert weight_spec(3).kind == "weight_multi_bit"
         assert weight_spec(32).identity
-
-
-class TestRounding:
-    def test_half_goes_away_from_zero(self):
-        np.testing.assert_array_equal(
-            round_half_away(np.array([0.5, 1.5, 2.5, -0.5, -1.5])),
-            [1.0, 2.0, 3.0, -1.0, -2.0],
-        )
-
-    def test_plain_cases(self):
-        np.testing.assert_array_equal(round_half_away(np.array([0.4, 0.6, -0.4])), [0.0, 1.0, -0.0])
 
 
 class TestNormalize:
@@ -191,6 +179,24 @@ class TestOracleAgreement:
         for k in range(1, 9):
             ref = oracle_quant.ref_quantize_activations(list(x), k)
             assert (quantize_activations(x, k) == np.asarray(ref)).all()
+
+    def test_lattice_midpoints_and_neighbours(self):
+        # ties and their one-ulp neighbours are where a rounding rule shows.
+        # Weights reach the normalized ties through tanh, so they land on or
+        # within a few ulps of each tie; tanh(20.0) is 1.0 and fixes the scale.
+        def around(v):
+            return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+        for k in range(1, 9):
+            levels = 2 ** k - 1
+            mid = (np.arange(levels) + 0.5) / levels
+            x = around(mid)
+            ref = oracle_quant.ref_quantize_activations(list(x), k)
+            assert (quantize_activations(x, k) == np.asarray(ref)).all()
+            if k >= 2:
+                w = around(np.append(np.arctanh(2.0 * mid - 1.0), 20.0))
+                ref = oracle_quant.ref_quantize_weights_kbit(list(w), k)
+                assert (quantize_weights_kbit(w, k) == np.asarray(ref)).all()
 
 
 class TestSte:
