@@ -6,6 +6,11 @@ split into stride phases, with one GEMM per kernel tap: each tap reads one
 contiguous row range of its phase, so no column matrix is built. Backward
 rebuilds the padded copy instead of keeping it alive, trading a little
 compute for a smaller peak footprint.
+
+Batch norm works on the channel-last (rows, c) view of its input, which is
+free for conv outputs: each per-channel sum is one matrix-vector product
+with a ones vector, and forward and backward each fold into a per-channel
+scale and shift.
 """
 
 from __future__ import annotations
@@ -104,6 +109,11 @@ def linear(x, weight, bias=None) -> Tensor:
     return _node(out, (x, weight, bias), backward)
 
 
+def _channel_sums(x2: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a (rows, c) array, as one matrix-vector product."""
+    return np.ones(x2.shape[0], dtype=x2.dtype) @ x2
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Channel-wise batch normalization over an NCHW or NC batch.
@@ -112,46 +122,62 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     unbiased variance estimate into the running buffers in place; eval
     mode normalizes with the running buffers. gamma and beta are the
     learnable scale and shift.
+
+    Both modes work on the (rows, c) row view of the input, which costs no
+    copy for the channel-last memory conv2d returns. Every per-channel sum
+    is a matrix-vector product, the output is ``x * a + b`` with the
+    per-channel scale ``a = gamma / std`` and shift ``b = beta - mean * a``,
+    and backward recomputes the normalized input rather than keeping it.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
     c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm affine params must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}")
-    axes = (0,) if xd.ndim == 2 else (0, 2, 3)
-    bshape = (1, c) if xd.ndim == 2 else (1, c, 1, 1)
-    gview = gamma.data.reshape(bshape)
+    to_last, from_last = ((0, 1), (0, 1)) if xd.ndim == 2 else ((0, 2, 3, 1), (0, 3, 1, 2))
+    last_shape = xd.transpose(to_last).shape
+
+    def rows(a):
+        # NCHW or NC as (rows, c); a view unless a is not channel-last
+        return a.transpose(to_last).reshape(-1, c)
+
+    x2 = rows(xd)
+    n = x2.shape[0]
 
     if training:
-        n = xd.size // c
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mu.reshape(bshape)) * inv.reshape(bshape)
-        out = gview * xhat + beta.data.reshape(bshape)
+        mean = _channel_sums(x2) / n
+        d = x2 - mean
+        np.square(d, out=d)
+        var = _channel_sums(d) / n
+        del d  # free it before the output is made
         rm, rv = running_mean.data, running_var.data
         rm *= 1.0 - momentum
-        rm += momentum * mu
+        rm += momentum * mean
         rv *= 1.0 - momentum
         rv += momentum * var * (n / max(n - 1, 1))
-
-        def backward(g):
-            dxhat = g * gview
-            s1 = dxhat.sum(axis=axes, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            dx = inv.reshape(bshape) / n * (n * dxhat - s1 - xhat * s2)
-            return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-        return _node(out, (x, gamma, beta), backward)
-
-    inv = 1.0 / np.sqrt(running_var.data + eps)
-    xhat = (xd - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
-    out = gview * xhat + beta.data.reshape(bshape)
+    else:
+        # a copy, so backward sees the statistics this forward used
+        mean, var = running_mean.data.copy(), running_var.data
+    inv = 1.0 / np.sqrt(var + eps)
+    a = gamma.data * inv
+    out = x2 * a
+    out += beta.data - mean * a
 
     def backward(g):
-        return g * gview * inv.reshape(bshape), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        g2 = rows(g)
+        xhat = rows(xd) - mean
+        xhat *= inv
+        dbeta = _channel_sums(g2)
+        dx = g2 * xhat
+        dgamma = _channel_sums(dx)
+        np.multiply(g2, a, out=dx)
+        if training:
+            xhat *= a * dgamma / n
+            dx -= xhat
+            dx -= a * dbeta / n
+        return dx.reshape(last_shape).transpose(from_last), dgamma, dbeta
 
-    return _node(out, (x, gamma, beta), backward)
+    return _node(out.reshape(last_shape).transpose(from_last), (x, gamma, beta), backward)
 
 
 def _pool_windows(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int, fill: float):

@@ -118,7 +118,14 @@ def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"activation bit depth must be >= 1, got {k}")
     levels = float(2 ** k - 1)
-    return np.floor(np.clip(x, 0.0, 1.0) * levels + 0.5) / levels
+    # clip makes the one new array (float even for integer input); the
+    # lattice snap then runs in place on it
+    q = np.asarray(np.clip(x, 0.0, 1.0))
+    q *= levels
+    q += 0.5
+    np.floor(q, out=q)
+    q /= levels
+    return q
 
 
 def apply_quantizer(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -150,14 +157,14 @@ def fq_weights(w: Tensor, k: int) -> Tensor:
         return w
     wd = w.data
     if k == 1:
-        out = quantize_weights_binary(wd).astype(wd.dtype)
+        out = quantize_weights_binary(wd).astype(wd.dtype, copy=False)
 
         def backward(g):
             return (ste_backward(g, wd, -1.0, 1.0),)
 
         return _node(out, (w,), backward)
 
-    out = quantize_weights_kbit(wd, k).astype(wd.dtype)
+    out = quantize_weights_kbit(wd, k).astype(wd.dtype, copy=False)
 
     def backward(g):
         # wd is the live parameter array; backward runs before the optimizer
@@ -173,7 +180,7 @@ def fq_activations(x: Tensor, k: int) -> Tensor:
     if k == REAL_BITS:
         return x
     xd = x.data
-    out = quantize_activations(xd, k).astype(xd.dtype)
+    out = quantize_activations(xd, k).astype(xd.dtype, copy=False)
 
     def backward(g):
         return (ste_backward(g, xd, 0.0, 1.0),)

@@ -38,6 +38,10 @@ from .tensor import no_grad
 _INIT_TAG = 0x1A17
 
 
+class NonFiniteLossError(ValueError):
+    """Raised when a training step's loss is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class CtmqInputs:
     """Knobs that determine the whole phase plan."""
@@ -366,6 +370,14 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                                         policy=policy, norm=norm):
                     logits = model.forward(xb, training=True)
                     loss = softmax_cross_entropy(logits, yb)
+                    if not np.isfinite(loss.data):
+                        # stop before the update: no weight, optimizer state,
+                        # metrics row or checkpoint sees this step
+                        raise NonFiniteLossError(
+                            f"non-finite training loss {loss.item()} in phase {phase.index} "
+                            f"({phase.part}, k={phase.bit_depth}), epoch {epoch + 1}/{phase.epochs}, "
+                            f"iteration {iteration + 1}; the run directory keeps its last checkpoint"
+                        )
                     model.zero_grad()
                     loss.backward()
                     optimizer.step(lr)

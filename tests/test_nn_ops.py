@@ -205,6 +205,51 @@ class TestBatchNorm:
         rv = Tensor(rng.uniform(0.5, 2.0, 3))
         gradcheck(lambda a, g, b: batch_norm(a, g, b, rm, rv, training=False), [x, gamma, beta])
 
+    def test_gradcheck_nc_input(self):
+        rng = np.random.default_rng(15)
+        for training in (True, False):
+            x = rng.standard_normal((6, 4))
+            gamma = rng.standard_normal(4)
+            beta = rng.standard_normal(4)
+            rm = Tensor(rng.standard_normal(4))
+            rv = Tensor(rng.uniform(0.5, 2.0, 4))
+            gradcheck(lambda a, g, b: batch_norm(a, g, b, rm, rv, training=training), [x, gamma, beta])
+
+    def test_channel_last_float32_input(self):
+        # conv outputs are float32 NCHW views of channel-last memory; such an
+        # input must give its contiguous copy's results bit for bit, in float32
+        rng = np.random.default_rng(16)
+        x = (rng.standard_normal((4, 6, 5, 7)) * 2.0 + 1.0).astype(np.float32)
+        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        seed = rng.standard_normal(x.shape).astype(np.float32)
+        gamma = rng.standard_normal(6).astype(np.float32)
+        beta = rng.standard_normal(6).astype(np.float32)
+        for training in (True, False):
+            results = []
+            for xin in (x, x_cl):
+                rm = Tensor(np.linspace(-0.5, 0.5, 6, dtype=np.float32))
+                rv = Tensor(np.linspace(0.5, 2.0, 6, dtype=np.float32))
+                ts = [Tensor(a, requires_grad=True) for a in (xin, gamma, beta)]
+                out = batch_norm(*ts, rm, rv, training=training)
+                out.backward(seed)
+                results.append((out.data, *(t.grad for t in ts), rm.data, rv.data))
+            for a, b in zip(*results):
+                assert a.dtype == b.dtype == np.float32
+                np.testing.assert_array_equal(a, b)
+
+    def test_batch_statistics_match_float64_on_desk_stage0_shape(self):
+        # with momentum 1 the running buffers hold this batch's mean and
+        # unbiased variance, computed in float32
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((128, 32, 32, 16)) * rng.uniform(0.5, 3.0, 16) + rng.uniform(0.5, 2.0, 16)
+        x32 = x.astype(np.float32).transpose(0, 3, 1, 2)
+        rm, rv = _bn_buffers(16)
+        batch_norm(Tensor(x32), Tensor(np.ones(16, np.float32)), Tensor(np.zeros(16, np.float32)),
+                   rm, rv, training=True, momentum=1.0)
+        ref = x32.astype(np.float64)
+        np.testing.assert_allclose(rm.data, ref.mean(axis=(0, 2, 3)), rtol=1e-5)
+        np.testing.assert_allclose(rv.data, ref.var(axis=(0, 2, 3), ddof=1), rtol=1e-5)
+
 
 class TestPooling:
     def test_max_pool_example(self):

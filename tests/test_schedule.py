@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from bitcycle import data
 from bitcycle.checkpoint import CheckpointError, load_checkpoint
 from bitcycle.config import ConfigError, RunConfig
 from bitcycle.data import Normalization, make_synthetic
@@ -10,6 +11,7 @@ from bitcycle.metrics import read_metrics
 from bitcycle.models import build_model, desk_config
 from bitcycle.schedule import (
     CtmqInputs,
+    NonFiniteLossError,
     Phase,
     evaluate,
     expand_schedule,
@@ -19,6 +21,7 @@ from bitcycle.schedule import (
     pooled_weight_error,
     run_schedule,
 )
+from bitcycle.tensor import Tensor
 
 from oracle_schedule import literal_plan
 
@@ -290,6 +293,35 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, rows_allowed):
     a = open(tmp_path / "full" / "checkpoint.bin", "rb").read()
     b = open(tmp_path / "cut" / "checkpoint.bin", "rb").read()
     assert a == b
+
+
+def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
+    # a NaN pixel in the second batch of global epoch 2 (phase 2, its first
+    # epoch; two batches per epoch) makes that step's loss NaN
+    out = tmp_path / "run"
+    clean = data.batches
+    saved = {}
+
+    def poisoned(ds, batch_size, seed, epoch, **kw):
+        for i, (xb, yb) in enumerate(clean(ds, batch_size, seed, epoch, **kw)):
+            if epoch == 2 and i == 0:
+                saved.update({f: (out / f).read_bytes() for f in ("checkpoint.bin", "metrics.csv")})
+            if epoch == 2 and i == 1:
+                x = xb.data.copy()
+                x[0, 0, 0, 0] = np.nan
+                xb = Tensor(x)
+            yield xb, yb
+
+    monkeypatch.setattr(data, "batches", poisoned)
+    with pytest.raises(NonFiniteLossError) as err:
+        _run(tmp_path, "run")
+    assert "phase 2 " in str(err.value) and "epoch 1/1" in str(err.value) and "iteration 6" in str(err.value)
+    assert sorted(saved) == ["checkpoint.bin", "metrics.csv"]
+    for f, before in saved.items():
+        assert (out / f).read_bytes() == before
+    ck = load_checkpoint(str(out / "checkpoint.bin"))
+    assert (ck.phase_index, ck.epochs_done) == (1, 1)
+    assert all(np.isfinite(t).all() for t in ck.tensors.values())
 
 
 def test_resume_on_finished_run_is_a_no_op(tmp_path):
