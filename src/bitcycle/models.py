@@ -57,18 +57,6 @@ class ModelConfig:
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
 
-    def at_bit_depth(self, k: int) -> "ModelConfig":
-        """The same architecture at a different bit depth (names are unchanged)."""
-        return ModelConfig(
-            block_kind=self.block_kind,
-            stage_channels=self.stage_channels,
-            blocks_per_stage=self.blocks_per_stage,
-            num_classes=self.num_classes,
-            stem=self.stem,
-            bit_depth=k,
-            in_channels=self.in_channels,
-        )
-
 
 def desk_config(bit_depth: int = 32, block_kind: str = "type2", num_classes: int = 10,
                 in_channels: int = 3) -> ModelConfig:
@@ -97,6 +85,7 @@ class QuantResNet:
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
         self._quantized_weights: set[str] = set()
+        self._blocks: list[tuple[str, int, bool]] = []  # (prefix, stride, has_down)
         self._build(rng if rng is not None else np.random.default_rng(0))
 
     # ------------------------------------------------------------------
@@ -130,11 +119,13 @@ class QuantResNet:
             for b in range(nblocks):
                 prefix = f"stage{s}.block{b}"
                 stride = 2 if (s > 0 and b == 0) else 1
+                has_down = stride != 1 or in_ch != out_ch
+                self._blocks.append((prefix, stride, has_down))
                 self._add_conv(f"{prefix}.conv1", rng, out_ch, in_ch, 3, quantized=True)
                 self._add_bn(f"{prefix}.bn1", out_ch)
                 self._add_conv(f"{prefix}.conv2", rng, out_ch, out_ch, 3, quantized=True)
                 self._add_bn(f"{prefix}.bn2", out_ch)
-                if stride != 1 or in_ch != out_ch:
+                if has_down:
                     self._add_conv(f"{prefix}.down.conv", rng, out_ch, in_ch, 1, quantized=quantize_down)
                     self._add_bn(f"{prefix}.down.bn", out_ch)
                 in_ch = out_ch
@@ -169,27 +160,21 @@ class QuantResNet:
             p[f"{name}.running_mean"], p[f"{name}.running_var"], training,
         )
 
-    def _qw(self, name: str, quant: bool) -> Tensor:
+    def _qw(self, name: str, k: int) -> Tensor:
         w = self.params[name]
-        if quant and name in self._quantized_weights:
-            return fq_weights(w, self.cfg.bit_depth)
+        if k < 32 and name in self._quantized_weights:
+            return fq_weights(w, k)
         return w
 
     def forward(self, x: Tensor, training: bool = False, quant: bool | None = None) -> Tensor:
         """Map an image batch to class logits.
 
-        ``quant=None`` inserts quantization nodes exactly when the bit depth
-        is below 32; passing False removes them outright (the reference
-        graph for the k=32 identity contract).
+        Quantization nodes are inserted exactly when the bit depth is below
+        32; ``quant=False`` removes them outright (the reference graph for
+        the k=32 identity contract).
         """
         cfg = self.cfg
-        if quant is None:
-            quant = cfg.bit_depth < 32
-        k = cfg.bit_depth
-
-        def qa(t: Tensor) -> Tensor:
-            return fq_activations(t, k) if quant else t
-
+        k = 32 if quant is False else cfg.bit_depth
         p = self.params
         if cfg.stem == "cifar":
             h = nn.conv2d(x, p["conv1.weight"], stride=1, padding=1)
@@ -199,17 +184,8 @@ class QuantResNet:
             h = self._bn(h, "bn1", training)
             h = nn.max_pool2d(h, 3, stride=2, padding=1)
 
-        first_block = True
-        in_ch = cfg.stage_channels[0]
-        for s, (out_ch, nblocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage)):
-            for b in range(nblocks):
-                prefix = f"stage{s}.block{b}"
-                stride = 2 if (s > 0 and b == 0) else 1
-                has_down = stride != 1 or in_ch != out_ch
-                h = self._block(h, prefix, stride, has_down, training, quant, qa,
-                                quantize_input=not first_block)
-                first_block = False
-                in_ch = out_ch
+        for i, (prefix, stride, has_down) in enumerate(self._blocks):
+            h = self._block(h, prefix, stride, has_down, training, k, quantize_input=i > 0)
 
         n, c, hh, ww = h.shape
         if hh != ww:
@@ -219,37 +195,42 @@ class QuantResNet:
         return nn.linear(flat, p["fc.weight"], p["fc.bias"])
 
     def _block(self, x: Tensor, prefix: str, stride: int, has_down: bool, training: bool,
-               quant: bool, qa, quantize_input: bool) -> Tensor:
-        h_in = qa(x) if quantize_input else x
-        h = nn.conv2d(h_in, self._qw(f"{prefix}.conv1.weight", quant), stride=stride, padding=1)
-        h = self._bn(h, f"{prefix}.bn1", training)
-        h = nn.conv2d(qa(h), self._qw(f"{prefix}.conv2.weight", quant), stride=1, padding=1)
-        h = self._bn(h, f"{prefix}.bn2", training)
+               k: int, quantize_input: bool) -> Tensor:
+        def qa(t: Tensor) -> Tensor:
+            return fq_activations(t, k) if k < 32 else t
 
-        if has_down:
-            if self.cfg.block_kind == "type1":
-                sc = nn.conv2d(h_in if quantize_input else qa(x),
-                               self._qw(f"{prefix}.down.conv.weight", quant), stride=stride)
-            else:
-                sc = nn.conv2d(x, self.params[f"{prefix}.down.conv.weight"], stride=stride)
-            sc = self._bn(sc, f"{prefix}.down.bn", training)
-        else:
-            sc = x
-        return h + sc
+        h_in = qa(x) if quantize_input else x
+        h = nn.conv2d(h_in, self._qw(f"{prefix}.conv1.weight", k), stride=stride, padding=1)
+        h = self._bn(h, f"{prefix}.bn1", training)
+        h = nn.conv2d(qa(h), self._qw(f"{prefix}.conv2.weight", k), stride=1, padding=1)
+        h = self._bn(h, f"{prefix}.bn2", training)
+        if not has_down:
+            return h + x
+        # type1 quantizes the downsample weight and reads the block's
+        # (quantized) input; type2 keeps both real
+        down_in = h_in if self.cfg.block_kind == "type1" else x
+        sc = nn.conv2d(down_in, self._qw(f"{prefix}.down.conv.weight", k), stride=stride)
+        return h + self._bn(sc, f"{prefix}.down.bn", training)
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator | None = None) -> QuantResNet:
     return QuantResNet(cfg, rng)
 
 
-def transfer_weights(source: dict[str, Tensor | np.ndarray], target: dict[str, Tensor]) -> None:
-    """Copy every tensor from source into target, bit-exactly.
+def _array(v: Tensor | np.ndarray) -> np.ndarray:
+    return v.data if isinstance(v, Tensor) else v
 
-    This is the one path that loads tensors into a model: the hand-off
-    between bit depths, resume, warm start and checkpoint evaluation all
-    go through it. Source values may be Tensors or bare arrays. Running
-    statistics ride along with the weights. Name sets and shapes must
-    agree; mismatches raise with the full symmetric difference.
+
+def transfer_weights(source: dict[str, Tensor | np.ndarray],
+                     target: dict[str, Tensor | np.ndarray]) -> None:
+    """Copy every tensor from source into target, bit-exactly and in place.
+
+    This is the one path that loads tensors: the hand-off between bit
+    depths, resume (weights and optimizer state), warm start and
+    checkpoint evaluation all go through it. Values on either side may be
+    Tensors or bare arrays. Running statistics ride along with the
+    weights. Name sets and shapes must agree; mismatches raise with the
+    full symmetric difference.
     """
     src_names, dst_names = set(source), set(target)
     if src_names != dst_names:
@@ -258,13 +239,9 @@ def transfer_weights(source: dict[str, Tensor | np.ndarray], target: dict[str, T
         raise ValueError(
             f"parameter name sets differ; only in source: {only_src}; only in target: {only_dst}"
         )
-    arrays = {n: getattr(v, "data", v) for n, v in source.items()}
-    bad_shapes = [
-        (n, arr.shape, target[n].data.shape)
-        for n, arr in arrays.items()
-        if arr.shape != target[n].data.shape
-    ]
+    pairs = {n: (_array(v), _array(target[n])) for n, v in source.items()}
+    bad_shapes = [(n, src.shape, dst.shape) for n, (src, dst) in pairs.items() if src.shape != dst.shape]
     if bad_shapes:
         raise ValueError(f"parameter shapes differ (name, source, target): {bad_shapes}")
-    for n, arr in arrays.items():
-        np.copyto(target[n].data, arr, casting="same_kind")
+    for src, dst in pairs.values():
+        np.copyto(dst, src, casting="same_kind")

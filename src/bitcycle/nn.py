@@ -88,20 +88,12 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     return _node(out, (x, weight), backward)
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """Affine map ``x @ weight + bias`` with weight shaped (in, out)."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ValueError(f"linear shape mismatch: input {x.data.shape} vs weight {weight.data.shape}")
-    out = x.data @ weight.data
-    if bias is None:
-        def backward(g):
-            return g @ weight.data.T, x.data.T @ g
-
-        return _node(out, (x, weight), backward)
-
-    bias = _as_tensor(bias)
-    out = out + bias.data
+    out = x.data @ weight.data + bias.data
 
     def backward(g):
         return g @ weight.data.T, x.data.T @ g, g.sum(axis=0)
@@ -218,12 +210,11 @@ def max_pool2d(x, window: int, stride: int | None = None, padding: int = 0) -> T
     return _node(out, (x,), backward)
 
 
-def avg_pool2d(x, window: int, stride: int | None = None) -> Tensor:
+def avg_pool2d(x, window: int) -> Tensor:
     """Average pooling; backward spreads the gradient uniformly over the window."""
     x = _as_tensor(x)
     xd = x.data
-    kh = kw = window
-    s = stride if stride is not None else window
+    kh = kw = s = window
     win = _pool_windows(xd, kh, kw, s, 0, fill=0.0)
     n, c, oh, ow = win.shape[:4]
     out = win.mean(axis=(-2, -1))

@@ -79,9 +79,6 @@ class Sgd:
     def state_tensors(self) -> dict[str, np.ndarray]:
         return {}
 
-    def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
-        self.step_count = step_count
-
 
 class Adam:
     """Bias-corrected ADAM. Weight decay, when set, enters as an L2 gradient term."""
@@ -110,17 +107,12 @@ class Adam:
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
+        """The live moment arrays by checkpoint name; resume copies into them."""
         out = {}
         for name in self.m:
             out[f"m.{name}"] = self.m[name]
             out[f"v.{name}"] = self.v[name]
         return out
-
-    def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
-        for name in self.m:
-            np.copyto(self.m[name], tensors[f"m.{name}"])
-            np.copyto(self.v[name], tensors[f"v.{name}"])
-        self.step_count = step_count
 
 
 def make_optimizer(params: list[tuple[str, Tensor]], cfg: OptimizerConfig):

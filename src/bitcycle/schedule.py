@@ -252,9 +252,9 @@ def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimize
         shutil.copyfile(latest, os.path.join(out_dir, f"checkpoint_phase{phase.index:03d}.bin"))
 
 
-def _load_tensors(model: QuantResNet, tensors: dict[str, np.ndarray], origin: str) -> None:
+def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> None:
     try:
-        transfer_weights(tensors, model.params)
+        transfer_weights(tensors, target)
     except ValueError as e:
         raise CheckpointError(f"{origin} does not fit the model: {e}") from None
 
@@ -264,7 +264,7 @@ def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
     cfg = RunConfig.from_raw(parse_config_text(ck.metadata["config"], origin="<checkpoint>"))
     model = build_model(cfg.model_config(int(ck.metadata["bit_depth"])),
                         rng=np.random.default_rng(0))
-    _load_tensors(model, ck.tensors, "checkpoint")
+    _load_tensors(ck.tensors, model.params, "checkpoint")
     return model, cfg
 
 
@@ -321,11 +321,17 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
 
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
     model = build_model(cfg.model_config(phases[start_phase].bit_depth), rng=init_rng)
+    optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
     if loaded:
-        _load_tensors(model, loaded.tensors, ckpt_path)
+        _load_tensors(loaded.tensors, model.params, ckpt_path)
+        if start_epoch > 0:
+            # resuming mid-phase: the phase's optimizer carries on where it stopped
+            _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
+                          f"{ckpt_path} optimizer state")
+            optimizer.step_count = loaded.step_count
     elif cfg["schedule.initial_weights"]:
         warm_path = str(cfg["schedule.initial_weights"])
-        _load_tensors(model, load_checkpoint(warm_path).tensors,
+        _load_tensors(load_checkpoint(warm_path).tensors, model.params,
                       f"schedule.initial_weights {warm_path}")
 
     os.makedirs(out_dir, exist_ok=True)
@@ -353,11 +359,10 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
 
             if on_phase_start is not None:
                 on_phase_start(phase, model)
-            optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
+            if phase.index != start_phase:
+                optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             lr_schedule = LrSchedule(str(cfg["optimizer.lr_policy"]), phase.epochs)
             phase_epoch0 = start_epoch if phase.index == start_phase else 0
-            if loaded and phase.index == start_phase and phase_epoch0 > 0:
-                optimizer.load_state(loaded.optimizer_state, loaded.step_count)
 
             global_epoch0 = _epochs_before(phases, phase.index)
             for epoch in range(phase_epoch0, phase.epochs):

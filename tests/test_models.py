@@ -60,8 +60,7 @@ class TestTopology:
 
 class TestParameterNames:
     def test_stable_across_bit_depths(self):
-        cfg = tiny_config()
-        names = {k: set(build_model(cfg.at_bit_depth(k)).params) for k in (1, 2, 3, 8, 32)}
+        names = {k: set(build_model(tiny_config(bit_depth=k)).params) for k in (1, 2, 3, 8, 32)}
         base = names[32]
         for k, s in names.items():
             assert s == base, f"name set changed at k={k}"
@@ -126,7 +125,7 @@ class TestBlockBehaviour:
         x = rand_images(2, 8, 8, seed=7)
         with no_grad():
             out = model._block(x, prefix, stride=1, has_down=False, training=False,
-                               quant=False, qa=lambda t: t, quantize_input=True)
+                               k=32, quantize_input=True)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_type2_downsample_sees_raw_activations(self, monkeypatch):
@@ -144,7 +143,7 @@ class TestBlockBehaviour:
         x = rand_images(2, 8, 8, seed=8)
         with no_grad():
             model._block(x, "stage1.block0", stride=2, has_down=True, training=False,
-                         quant=True, qa=lambda t: models.fq_activations(t, 1), quantize_input=True)
+                         k=1, quantize_input=True)
         main1, main2, down = seen
         assert set(np.unique(main1)) <= {0.0, 1.0}
         assert set(np.unique(main2)) <= {0.0, 1.0}
@@ -164,7 +163,7 @@ class TestBlockBehaviour:
         x = rand_images(2, 8, 8, seed=9)
         with no_grad():
             model._block(x, "stage1.block0", stride=2, has_down=True, training=False,
-                         quant=True, qa=lambda t: models.fq_activations(t, 1), quantize_input=True)
+                         k=1, quantize_input=True)
         down = seen[2]
         assert set(np.unique(down)) <= {0.0, 1.0}
 

@@ -135,7 +135,7 @@ class TestLinear:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="linear shape mismatch"):
-            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)

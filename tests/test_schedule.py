@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bitcycle import data
-from bitcycle.checkpoint import CheckpointError, load_checkpoint
+from bitcycle.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitcycle.config import ConfigError, RunConfig
 from bitcycle.data import Normalization, make_synthetic
 from bitcycle.metrics import read_metrics
@@ -280,19 +280,47 @@ class _InterruptAfter:
             raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("rows_allowed", [2, 6])
-def test_resume_reproduces_uninterrupted_run(tmp_path, rows_allowed):
-    # 2 interrupts at a phase boundary, 6 interrupts mid final phase
-    _run(tmp_path, "full")
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """metrics.csv and final checkpoint.bin bytes of one full tiny run."""
+    tmp = tmp_path_factory.mktemp("uninterrupted")
+    _run(tmp, "full")
+    return {f: (tmp / "full" / f).read_bytes() for f in ("metrics.csv", "checkpoint.bin")}
+
+
+# The tiny plan has 7 epochs. The interrupt fires after an epoch's metrics
+# row and before its checkpoint, so rows_allowed r resumes from the
+# checkpoint after epoch r - 1: r = 2..7 covers every epoch boundary (2 is
+# the first phase boundary, 6 and 7 are inside the 3-epoch final phase).
+@pytest.mark.parametrize("rows_allowed", range(2, 8))
+def test_resume_reproduces_uninterrupted_run(tmp_path, uninterrupted, rows_allowed):
     with pytest.raises(KeyboardInterrupt):
         _run(tmp_path, "cut", log=_InterruptAfter(rows_allowed))
     _run(tmp_path, "cut", resume=True)
-    full = open(tmp_path / "full" / "metrics.csv", "rb").read()
-    cut = open(tmp_path / "cut" / "metrics.csv", "rb").read()
-    assert full == cut
-    a = open(tmp_path / "full" / "checkpoint.bin", "rb").read()
-    b = open(tmp_path / "cut" / "checkpoint.bin", "rb").read()
-    assert a == b
+    for f, full in uninterrupted.items():
+        assert (tmp_path / "cut" / f).read_bytes() == full, f
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda state: state.update({"m.fc.bias": np.zeros(1, np.float32)}), "('m.fc.bias', (1,), (4,))"),
+    (lambda state: state.pop("v.fc.bias"), "only in target: ['v.fc.bias']"),
+], ids=["misshaped", "missing"])
+def test_resume_checks_optimizer_state(tmp_path, corrupt, expected):
+    # cut after the first of the final phase's 3 epochs, so resume loads
+    # the phase's Adam moments
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(6))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    assert ck.phase_index == 4 and ck.epochs_done == 1
+    corrupt(ck.optimizer_state)
+    save_checkpoint(path, ck)
+    before = (out / "metrics.csv").read_bytes()
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert f"{path} optimizer state" in str(err.value) and expected in str(err.value)
+    assert (out / "metrics.csv").read_bytes() == before
 
 
 def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
