@@ -28,6 +28,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,21 @@ class _Reader:
         return out
 
 
+@contextmanager
+def replace_atomically(path: str):
+    """Yield a temp path beside path; on success it replaces path, on failure it is removed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     meta = json.dumps(ckpt.metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = b"".join([
@@ -127,17 +143,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         struct.pack("<I", len(meta)),
         meta,
     ])
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with replace_atomically(path) as tmp, open(tmp, "wb") as f:
+        f.write(blob)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

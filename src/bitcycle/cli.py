@@ -8,14 +8,14 @@ Thread pinning happens here and nowhere else: BLAS libraries size their
 pools when numpy first loads, so this module defers every numpy-touching
 import until after the environment is set. The effective thread count is
 resolved as --threads, then an `--override run.threads=...`, then the
-config file, then 1.
+config file, then 1; the overrides and the file go through the same
+parser as the run's config, which loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 
@@ -62,20 +62,18 @@ _THREAD_VARS = (
 
 
 def _scan_threads(args) -> int:
-    """Resolve the thread count without importing anything heavy."""
+    """Resolve the thread count through the config parser, which loads no numpy."""
+    from .config import apply_overrides, parse_config_text, typed_values
+
     if getattr(args, "threads", None):
         return args.threads
-    for item in reversed(getattr(args, "override", [])):
-        if item.replace(" ", "").startswith("run.threads="):
-            return int(item.split("=", 1)[1])
     config = getattr(args, "config", None)
-    if config and os.path.exists(config):
+    raw = {}
+    if config:
         with open(config) as f:
-            for line in f:
-                m = re.match(r"\s*run\.threads\s*=\s*(\d+)", line)
-                if m:
-                    return int(m.group(1))
-    return 1
+            raw = parse_config_text(f.read(), origin=config)
+    raw = apply_overrides(raw, getattr(args, "override", []))
+    return typed_values(raw, origin=config or "<config>").get("run.threads", 1)
 
 
 def _pin_threads(n: int) -> None:
@@ -175,16 +173,13 @@ def _cmd_expand(args, threads: int) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = _scan_threads(args)
-    _pin_threads(threads)
-
-    from .checkpoint import CheckpointError
-    from .config import ConfigError
-
     handlers = {"train": _cmd_train, "eval": _cmd_eval, "expand": _cmd_expand}
     try:
+        threads = _scan_threads(args)
+        _pin_threads(threads)
+        # ConfigError and CheckpointError are ValueErrors
         return handlers[args.command](args, threads)
-    except (ConfigError, CheckpointError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,9 +18,12 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .models import ModelConfig
-from .optim import LrSchedule, OptimizerConfig
+# models and optim load numpy, which the CLI must not load before it pins threads
+if TYPE_CHECKING:
+    from .models import ModelConfig
+    from .optim import OptimizerConfig
 
 DATA_ROOT_ENV = "BITCYCLE_DATA"
 
@@ -128,6 +131,18 @@ def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
     return merged
 
 
+def typed_values(raw: dict[str, str], origin: str = "<config>") -> dict[str, object]:
+    """Parse each raw string with its key's type; defaults are not filled in."""
+    typed: dict[str, object] = {}
+    for key, value in raw.items():
+        _, parser = _SCHEMA[key]
+        try:
+            typed[key] = parser(value)
+        except ValueError as e:
+            raise ConfigError(f"{origin}: bad value for {key!r}: {e}") from None
+    return typed
+
+
 @dataclass
 class RunConfig:
     """Typed view over the flat key space; see _SCHEMA for keys and defaults."""
@@ -141,6 +156,8 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
+        from .optim import LrSchedule
+
         self.optimizer_config()          # raises on bad optimizer fields
         LrSchedule(self["optimizer.lr_policy"], max(1, int(self["schedule.epochs"])))
         self.model_config(32)            # raises on bad architecture fields
@@ -163,14 +180,7 @@ class RunConfig:
 
     @staticmethod
     def from_raw(raw: dict[str, str], origin: str = "<config>") -> "RunConfig":
-        typed: dict[str, object] = {}
-        for key, value in raw.items():
-            _, parser = _SCHEMA[key]
-            try:
-                typed[key] = parser(value)
-            except ValueError as e:
-                raise ConfigError(f"{origin}: bad value for {key!r}: {e}") from None
-        return RunConfig(typed)
+        return RunConfig(typed_values(raw, origin))
 
     @staticmethod
     def from_file(path: str, overrides: list[str] | None = None) -> "RunConfig":
@@ -196,6 +206,8 @@ class RunConfig:
     # typed views
 
     def model_config(self, bit_depth: int) -> ModelConfig:
+        from .models import ModelConfig
+
         return ModelConfig(
             block_kind=self["model.block_kind"],
             stage_channels=tuple(self["model.stage_channels"]),
@@ -207,6 +219,8 @@ class RunConfig:
         )
 
     def optimizer_config(self) -> OptimizerConfig:
+        from .optim import OptimizerConfig
+
         return OptimizerConfig(
             kind=self["optimizer.kind"],
             lr_base=float(self["optimizer.lr_base"]),

@@ -8,7 +8,9 @@ Rows land in two files inside the run directory:
                   precisely because timings never reproduce
 
 Both files are flushed after every row, so a partial run always leaves a
-valid prefix that a resumed run can truncate and extend.
+valid prefix. A resumed run keeps the header and the first K complete
+lines of each file as they are on disk, where K is the number of epochs
+its checkpoint covers, and appends from there.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def read_metrics(path: str) -> list[MetricsRow]:
         if header != METRICS_HEADER.split(","):
             raise ValueError(f"{path}: unexpected metrics header {header}")
         for rec in reader:
-            if not rec:
-                continue
+            if len(rec) != 10:
+                raise ValueError(f"{path}:{reader.line_num}: expected 10 fields, got {len(rec)}")
             rows.append(MetricsRow(
                 phase=int(rec[0]), part=rec[1], bit_depth=int(rec[2]),
                 epoch=int(rec[3]), iteration=int(rec[4]), lr=float(rec[5]),
@@ -67,53 +69,41 @@ def read_metrics(path: str) -> list[MetricsRow]:
     return rows
 
 
-class MetricsWriter:
-    """Appends rows to metrics.csv and timing.csv under a run directory."""
+def _prefix_length(path: str, header: str, rows: int) -> int:
+    """Bytes taken by the header and the first `rows` complete lines of path."""
+    with open(path, "rb") as f:
+        if f.readline() != header.encode() + b"\n":
+            raise ValueError(f"cannot resume: {path} does not start with the header {header!r}")
+        for _ in range(rows):
+            if not f.readline().endswith(b"\n"):
+                raise ValueError(f"cannot resume: {path} holds fewer than the {rows} rows "
+                                 "the checkpoint covers")
+        return f.tell()
 
-    def __init__(self, out_dir: str, resume_cursor: tuple[int, int] | None = None):
+
+class MetricsWriter:
+    """Appends rows to metrics.csv and timing.csv; keep_rows=K resumes both after row K."""
+
+    def __init__(self, out_dir: str, keep_rows: int | None = None):
         os.makedirs(out_dir, exist_ok=True)
         self.metrics_path = os.path.join(out_dir, "metrics.csv")
         self.timing_path = os.path.join(out_dir, "timing.csv")
-        if resume_cursor is not None and os.path.exists(self.metrics_path):
-            self._truncate(resume_cursor)
-            self._metrics = open(self.metrics_path, "a", newline="")
-            self._timing = open(self.timing_path, "a", newline="")
+        files = ((self.metrics_path, METRICS_HEADER), (self.timing_path, TIMING_HEADER))
+        if keep_rows is None:
+            for path, header in files:
+                with open(path, "w", newline="") as f:
+                    f.write(header + "\n")
         else:
-            self._metrics = open(self.metrics_path, "w", newline="")
-            self._metrics.write(METRICS_HEADER + "\n")
-            self._timing = open(self.timing_path, "w", newline="")
-            self._timing.write(TIMING_HEADER + "\n")
-            self._flush()
-
-    def _truncate(self, cursor: tuple[int, int]) -> None:
-        """Drop rows past (phase, epoch); a resumed run rewrites them."""
-        phase, epoch = cursor
-        kept = [r for r in read_metrics(self.metrics_path)
-                if r.phase < phase or (r.phase == phase and r.epoch <= epoch)]
-        with open(self.metrics_path, "w", newline="") as f:
-            f.write(METRICS_HEADER + "\n")
-            for r in kept:
-                f.write(r.csv_line() + "\n")
-        keep_keys = {(r.phase, r.epoch) for r in kept}
-        timing_lines = []
-        if os.path.exists(self.timing_path):
-            with open(self.timing_path, newline="") as f:
-                reader = csv.reader(f)
-                next(reader, None)
-                for rec in reader:
-                    if rec and (int(rec[0]), int(rec[1])) in keep_keys:
-                        timing_lines.append(",".join(rec))
-        with open(self.timing_path, "w", newline="") as f:
-            f.write(TIMING_HEADER + "\n")
-            for line in timing_lines:
-                f.write(line + "\n")
+            # both files are checked before either is cut
+            cuts = [(path, _prefix_length(path, header, keep_rows)) for path, header in files]
+            for path, length in cuts:
+                os.truncate(path, length)
+        self._metrics = open(self.metrics_path, "a", newline="")
+        self._timing = open(self.timing_path, "a", newline="")
 
     def append(self, row: MetricsRow) -> None:
         self._metrics.write(row.csv_line() + "\n")
         self._timing.write(f"{row.phase},{row.epoch},{row.wall_seconds:.3f}\n")
-        self._flush()
-
-    def _flush(self) -> None:
         self._metrics.flush()
         self._timing.flush()
 

@@ -26,7 +26,7 @@ import numpy as np
 
 # perfbench/tracer.py wraps these names in this module's namespace; keep them imported here.
 from . import data as D
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, replace_atomically, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config_text
 from .metrics import MetricsRow, MetricsWriter, read_metrics
 from .models import QuantResNet, build_model, transfer_weights
@@ -249,7 +249,8 @@ def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimize
     save_checkpoint(latest, ck)
     if snapshot:
         # end-of-phase snapshots stay around; checkpoint.bin is the rolling latest
-        shutil.copyfile(latest, os.path.join(out_dir, f"checkpoint_phase{phase.index:03d}.bin"))
+        with replace_atomically(os.path.join(out_dir, f"checkpoint_phase{phase.index:03d}.bin")) as tmp:
+            shutil.copyfile(latest, tmp)
 
 
 def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> None:
@@ -272,10 +273,10 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                  on_phase_start=None) -> list[MetricsRow]:
     """Execute the full phase plan; returns every metrics row written.
 
-    With resume=True and an existing checkpoint in the run directory,
-    training continues from the last completed epoch and the metrics
-    file is truncated back to that point, so an interrupted run and an
-    uninterrupted one end with identical metrics bytes.
+    With resume=True, training continues from the run directory's
+    checkpoint and the csv files keep their first K rows, K being the
+    epochs it covers, so an interrupted run and an uninterrupted one end
+    with identical metrics bytes. Without it, a checkpoint there is refused.
 
     on_phase_start, when given, is called as on_phase_start(phase, model)
     after the hand-off and before the phase's first batch; it sees the
@@ -301,6 +302,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
 
     start_phase = 0
     start_epoch = 0
+    keep_rows = None
     loaded: Checkpoint | None = None
     if resume:
         if not os.path.exists(ckpt_path):
@@ -313,18 +315,17 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
             )
         start_phase = loaded.phase_index
         start_epoch = loaded.epochs_done
-        if start_epoch >= phases[start_phase].epochs:
-            start_phase += 1
-            start_epoch = 0
-        if start_phase >= len(phases):
-            return read_metrics(os.path.join(out_dir, "metrics.csv"))
+        keep_rows = _epochs_before(phases, start_phase) + start_epoch
+    elif os.path.exists(ckpt_path):
+        raise CheckpointError(f"{out_dir} already holds a run: continue it with --resume "
+                              "or train into a new directory")
 
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
     model = build_model(cfg.model_config(phases[start_phase].bit_depth), rng=init_rng)
     optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
     if loaded:
         _load_tensors(loaded.tensors, model.params, ckpt_path)
-        if start_epoch > 0:
+        if 0 < start_epoch < phases[start_phase].epochs:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
             _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
                           f"{ckpt_path} optimizer state")
@@ -334,23 +335,17 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         _load_tensors(load_checkpoint(warm_path).tensors, model.params,
                       f"schedule.initial_weights {warm_path}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as f:
-        f.write(cfg.canonical_text())
-
-    writer = MetricsWriter(
-        out_dir,
-        resume_cursor=(loaded.phase_index, loaded.epochs_done) if loaded else None,
-    )
-    rows: list[MetricsRow] = []
-    if loaded:
-        rows = read_metrics(writer.metrics_path)
-
     iteration = int(loaded.metadata["iteration"]) if loaded else 0
     checkpoint_every = int(cfg["run.checkpoint_every"])
 
-    try:
+    with MetricsWriter(out_dir, keep_rows) as writer:
+        with open(os.path.join(out_dir, "config.txt"), "w") as f:
+            f.write(cfg.canonical_text())
+        rows = read_metrics(writer.metrics_path) if loaded else []
         for phase in phases[start_phase:]:
+            phase_epoch0 = start_epoch if phase.index == start_phase else 0
+            if phase_epoch0 == phase.epochs:
+                continue  # the checkpoint was taken at the end of this phase
             if model.cfg.bit_depth != phase.bit_depth:
                 successor = build_model(cfg.model_config(phase.bit_depth),
                                         rng=np.random.default_rng(0))
@@ -362,7 +357,6 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
             if phase.index != start_phase:
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             lr_schedule = LrSchedule(str(cfg["optimizer.lr_policy"]), phase.epochs)
-            phase_epoch0 = start_epoch if phase.index == start_phase else 0
 
             global_epoch0 = _epochs_before(phases, phase.index)
             for epoch in range(phase_epoch0, phase.epochs):
@@ -411,6 +405,4 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                     _write_checkpoint(out_dir, cfg, model, optimizer, phase,
                                       epoch + 1, iteration, norm, train.name,
                                       snapshot=end_of_phase)
-    finally:
-        writer.close()
     return rows

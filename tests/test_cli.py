@@ -1,9 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 from argparse import Namespace
 
 import pytest
 
+import bitcycle
 from bitcycle.cli import _scan_threads, main
 from bitcycle.metrics import read_metrics
 
@@ -162,6 +165,32 @@ def test_thread_scan_precedence(tmp_path):
                                       "override": ["run.threads=5"]})) == 7
     cfg.write_text("")
     assert _scan_threads(Namespace(**base)) == 1
+
+
+def test_thread_scan_loads_no_numpy(tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("run.threads = 3\n")
+    script = (
+        "import sys\n"
+        "from argparse import Namespace\n"
+        "from bitcycle.cli import _scan_threads\n"
+        f"n = _scan_threads(Namespace(config={str(cfg)!r}, override=[], threads=None))\n"
+        "print(n, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(bitcycle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["3", "False"]
+
+
+def test_bad_thread_override_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    rc = main(["expand", "--config", str(cfg), "--override", "run.threads=x"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'run.threads'" in err
 
 
 def test_threads_env_pinned(tmp_path, capsys):

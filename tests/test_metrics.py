@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -80,7 +81,7 @@ def test_resume_truncates_past_cursor(tmp_path):
         for phase in range(3):
             for epoch in (1, 2, 3):
                 w.append(_row(phase, epoch, wall_seconds=phase + epoch / 10))
-    with MetricsWriter(d, resume_cursor=(1, 2)) as w:
+    with MetricsWriter(d, keep_rows=5) as w:
         w.append(_row(1, 3, train_loss=0.111))
     rows = read_metrics(os.path.join(d, "metrics.csv"))
     keys = [(r.phase, r.epoch) for r in rows]
@@ -91,11 +92,29 @@ def test_resume_truncates_past_cursor(tmp_path):
     assert timing[1].startswith("0,1,")
 
 
-def test_resume_with_no_existing_file_starts_fresh(tmp_path):
+def test_resume_with_no_existing_file_is_refused(tmp_path):
+    with pytest.raises(FileNotFoundError, match="metrics.csv"):
+        MetricsWriter(str(tmp_path), keep_rows=0)
+    assert not (tmp_path / "timing.csv").exists()
+
+
+def test_resume_refuses_foreign_header_before_cutting(tmp_path):
     d = str(tmp_path)
-    with MetricsWriter(d, resume_cursor=(5, 5)) as w:
+    with MetricsWriter(d) as w:
         w.append(_row(0, 1))
-    assert len(read_metrics(os.path.join(d, "metrics.csv"))) == 1
+        w.append(_row(0, 2))
+    metrics = (tmp_path / "metrics.csv").read_bytes()
+    (tmp_path / "timing.csv").write_text("epoch,seconds\n0,1.0\n")
+    with pytest.raises(ValueError, match="timing.csv"):
+        MetricsWriter(d, keep_rows=1)
+    assert (tmp_path / "metrics.csv").read_bytes() == metrics
+
+
+def test_read_names_a_row_without_ten_fields(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text(METRICS_HEADER + "\n" + _row(0, 1).csv_line() + "\n0,fin\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 10 fields, got 2")):
+        read_metrics(str(path))
 
 
 def test_read_rejects_foreign_header(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -301,6 +302,36 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, uninterrupted, rows_allow
         assert (tmp_path / "cut" / f).read_bytes() == full, f
 
 
+def test_resume_drops_a_torn_last_row(tmp_path, uninterrupted):
+    # the checkpoint covers 3 epochs; the crash tore the 4th epoch's row
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    metrics = tmp_path / "cut" / "metrics.csv"
+    text = metrics.read_bytes()
+    metrics.write_bytes(text[:text.rindex(b"\n", 0, -1) + 10])
+    _run(tmp_path, "cut", resume=True)
+    for f, full in uninterrupted.items():
+        assert (tmp_path / "cut" / f).read_bytes() == full, f
+
+
+@pytest.mark.parametrize("damage", ["missing", "short"])
+@pytest.mark.parametrize("name", ["metrics.csv", "timing.csv"])
+def test_resume_refuses_a_missing_or_short_file(tmp_path, name, damage):
+    # the checkpoint covers 3 epochs; the damaged file keeps 2 rows or none
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    out = tmp_path / "cut"
+    if damage == "missing":
+        (out / name).unlink()
+    else:
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        (out / name).write_bytes(b"".join(lines[:3]))
+    before = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+    with pytest.raises((ValueError, OSError), match=name):
+        _run(tmp_path, "cut", resume=True)
+    assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == before
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (lambda state: state.update({"m.fc.bias": np.zeros(1, np.float32)}), "('m.fc.bias', (1,), (4,))"),
     (lambda state: state.pop("v.fc.bias"), "only in target: ['v.fc.bias']"),
@@ -356,6 +387,30 @@ def test_resume_on_finished_run_is_a_no_op(tmp_path):
     cfg, rows = _run(tmp_path, "run")
     again = run_schedule(cfg, resume=True)
     assert [(r.phase, r.epoch) for r in again] == [(r.phase, r.epoch) for r in rows]
+
+
+def test_rerun_into_a_run_directory_is_refused(tmp_path):
+    cfg, _ = _run(tmp_path, "run")
+    out = tmp_path / "run"
+    files = ("checkpoint.bin", "config.txt", "metrics.csv", "timing.csv")
+    before = {f: ((out / f).read_bytes(), (out / f).stat().st_mtime_ns) for f in files}
+    with pytest.raises(CheckpointError, match="--resume") as err:
+        run_schedule(cfg)
+    assert str(out) in str(err.value)
+    assert {f: ((out / f).read_bytes(), (out / f).stat().st_mtime_ns) for f in files} == before
+
+
+def test_failed_phase_snapshot_leaves_no_partial_file(tmp_path, monkeypatch):
+    def failing_copy(src, dst):
+        with open(src, "rb") as f, open(dst, "wb") as g:
+            g.write(f.read(100))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(shutil, "copyfile", failing_copy)
+    with pytest.raises(OSError, match="disk full"):
+        _run(tmp_path, "run")
+    assert sorted(os.listdir(tmp_path / "run")) == \
+        ["checkpoint.bin", "config.txt", "metrics.csv", "timing.csv"]
 
 
 def test_resume_without_checkpoint_fails(tmp_path):
