@@ -8,8 +8,8 @@ Thread pinning happens here and nowhere else: BLAS libraries size their
 pools when numpy first loads, so this module defers every numpy-touching
 import until after the environment is set. The effective thread count is
 resolved as --threads, then an `--override run.threads=...`, then the
-config file, then 1; the overrides and the file go through the same
-parser as the run's config, which loads no numpy.
+config file, then 1, and must be at least 1; the overrides and the file
+go through the same parser as the run's config, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -63,17 +63,20 @@ _THREAD_VARS = (
 
 def _scan_threads(args) -> int:
     """Resolve the thread count through the config parser, which loads no numpy."""
-    from .config import apply_overrides, parse_config_text, typed_values
+    from .config import ConfigError, apply_overrides, parse_config_text, typed_values
 
-    if getattr(args, "threads", None):
-        return args.threads
-    config = getattr(args, "config", None)
-    raw = {}
-    if config:
-        with open(config) as f:
-            raw = parse_config_text(f.read(), origin=config)
-    raw = apply_overrides(raw, getattr(args, "override", []))
-    return typed_values(raw, origin=config or "<config>").get("run.threads", 1)
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        config = getattr(args, "config", None)
+        raw = {}
+        if config:
+            with open(config) as f:
+                raw = parse_config_text(f.read(), origin=config)
+        raw = apply_overrides(raw, getattr(args, "override", []))
+        threads = typed_values(raw, origin=config or "<config>").get("run.threads", 1)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return threads
 
 
 def _pin_threads(n: int) -> None:
@@ -107,20 +110,23 @@ def _cmd_train(args, threads: int) -> int:
 
 def _cmd_eval(args, threads: int) -> int:
     from .checkpoint import load_checkpoint
-    from .config import RunConfig, apply_overrides, parse_config_text
+    from .config import RunConfig
     from .data import Normalization
-    from .metrics import METRICS_HEADER, MetricsRow
+    from .metrics import METRICS_HEADER, MetricsRow, _prefix_length
     from .schedule import evaluate, load_datasets, model_from_checkpoint, pooled_weight_error
 
+    out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
+    path = os.path.join(out_dir, "eval.csv")
+    fresh = not os.path.exists(path)
+    if not fresh:
+        _prefix_length(path, METRICS_HEADER, 0)  # refuse a file a row cannot join
     ck = load_checkpoint(args.checkpoint)
     model, cfg = model_from_checkpoint(ck)
     if args.data is not None:
-        raw = apply_overrides(parse_config_text(cfg.canonical_text()),
-                              [f"data.root={args.data}"])
-        cfg = RunConfig.from_raw(raw)
+        cfg = RunConfig({**cfg.values, "data.root": args.data})
     _, test = load_datasets(cfg)
     norm = Normalization.from_dict(ck.metadata["normalization"])
-    batch_size = args.batch_size or int(cfg["data.batch_size"])
+    batch_size = args.batch_size or cfg["data.batch_size"]
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
     print(f"phase {ck.phase_index} ({ck.metadata.get('part', '?')}), "
@@ -135,9 +141,6 @@ def _cmd_eval(args, threads: int) -> int:
         lr=0.0, train_loss=loss, eval_top1=top1, eval_top5=top5,
         mean_abs_quant_error=pooled_weight_error(model),
     )
-    out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    path = os.path.join(out_dir, "eval.csv")
-    fresh = not os.path.exists(path)
     with open(path, "a", newline="") as f:
         if fresh:
             f.write(METRICS_HEADER + "\n")
@@ -152,7 +155,7 @@ def _cmd_expand(args, threads: int) -> int:
     phases = plan_phases(cfg)
     try:
         train, _ = load_datasets(cfg)
-        per_epoch = len(train.labels) // int(cfg["data.batch_size"])
+        per_epoch = len(train.labels) // cfg["data.batch_size"]
     except Exception:
         per_epoch = None
 

@@ -43,7 +43,7 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -135,9 +135,10 @@ def typed_values(raw: dict[str, str], origin: str = "<config>") -> dict[str, obj
     """Parse each raw string with its key's type; defaults are not filled in."""
     typed: dict[str, object] = {}
     for key, value in raw.items():
-        _, parser = _SCHEMA[key]
+        if key not in _SCHEMA:
+            raise ConfigError(f"{origin}: unknown key {key!r}")
         try:
-            typed[key] = parser(value)
+            typed[key] = _SCHEMA[key][1](value)
         except ValueError as e:
             raise ConfigError(f"{origin}: bad value for {key!r}: {e}") from None
     return typed
@@ -145,34 +146,38 @@ def typed_values(raw: dict[str, str], origin: str = "<config>") -> dict[str, obj
 
 @dataclass
 class RunConfig:
-    """Typed view over the flat key space; see _SCHEMA for keys and defaults."""
+    """Typed view over the flat key space; see _SCHEMA for keys and defaults.
+
+    A dict goes through the same parsers as config text, so unknown keys and ill-typed
+    values are refused and config.txt and the digest record exactly what a run executes.
+    """
 
     values: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         full = {k: default for k, (default, _) in _SCHEMA.items()}
         full.update(self.values)
-        self.values = full
+        self.values = typed_values({k: _fmt(v) for k, v in full.items()})
         self._validate()
 
     def _validate(self):
         from .optim import LrSchedule
 
         self.optimizer_config()          # raises on bad optimizer fields
-        LrSchedule(self["optimizer.lr_policy"], max(1, int(self["schedule.epochs"])))
+        LrSchedule(self["optimizer.lr_policy"], max(1, self["schedule.epochs"]))
         self.model_config(32)            # raises on bad architecture fields
         if self["schedule.mode"] not in ("ctmq", "single"):
             raise ConfigError(f"schedule.mode must be ctmq or single, got {self['schedule.mode']!r}")
         if self["data.format"] not in ("cifar", "idx", "synthetic"):
             raise ConfigError(f"data.format must be cifar, idx, or synthetic, got {self['data.format']!r}")
         for key in ("schedule.target_k", "schedule.bit_depth"):
-            if not 1 <= int(self[key]) <= 32:
+            if not 1 <= self[key] <= 32:
                 raise ConfigError(f"{key} must be in [1, 32], got {self[key]}")
         for key in ("schedule.soft_epochs", "schedule.cyclic_epochs", "schedule.final_epochs",
                     "schedule.epochs", "data.batch_size", "run.threads"):
-            if int(self[key]) < 1:
+            if self[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {self[key]}")
-        if int(self["schedule.cycles"]) < 0:
+        if self["schedule.cycles"] < 0:
             raise ConfigError(f"schedule.cycles must be nonnegative, got {self['schedule.cycles']}")
 
     def __getitem__(self, key: str):
@@ -210,12 +215,12 @@ class RunConfig:
 
         return ModelConfig(
             block_kind=self["model.block_kind"],
-            stage_channels=tuple(self["model.stage_channels"]),
-            blocks_per_stage=tuple(self["model.blocks_per_stage"]),
-            num_classes=int(self["model.num_classes"]),
+            stage_channels=self["model.stage_channels"],
+            blocks_per_stage=self["model.blocks_per_stage"],
+            num_classes=self["model.num_classes"],
             stem=self["model.stem"],
             bit_depth=bit_depth,
-            in_channels=int(self["model.in_channels"]),
+            in_channels=self["model.in_channels"],
         )
 
     def optimizer_config(self) -> OptimizerConfig:
@@ -223,15 +228,12 @@ class RunConfig:
 
         return OptimizerConfig(
             kind=self["optimizer.kind"],
-            lr_base=float(self["optimizer.lr_base"]),
-            beta1=float(self["optimizer.beta1"]),
-            beta2=float(self["optimizer.beta2"]),
-            eps=float(self["optimizer.eps"]),
-            weight_decay=float(self["optimizer.weight_decay"]),
+            lr_base=self["optimizer.lr_base"],
+            beta1=self["optimizer.beta1"],
+            beta2=self["optimizer.beta2"],
+            eps=self["optimizer.eps"],
+            weight_decay=self["optimizer.weight_decay"],
         )
 
     def data_root(self) -> str:
-        root = str(self["data.root"])
-        if root:
-            return root
-        return os.environ.get(DATA_ROOT_ENV, "")
+        return self["data.root"] or os.environ.get(DATA_ROOT_ENV, "")

@@ -73,7 +73,7 @@ def _prefix_length(path: str, header: str, rows: int) -> int:
     """Bytes taken by the header and the first `rows` complete lines of path."""
     with open(path, "rb") as f:
         if f.readline() != header.encode() + b"\n":
-            raise ValueError(f"cannot resume: {path} does not start with the header {header!r}")
+            raise ValueError(f"{path} does not start with the header {header!r}")
         for _ in range(rows):
             if not f.readline().endswith(b"\n"):
                 raise ValueError(f"cannot resume: {path} holds fewer than the {rows} rows "

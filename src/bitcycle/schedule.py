@@ -69,12 +69,12 @@ class CtmqInputs:
     @staticmethod
     def from_config(cfg: RunConfig) -> "CtmqInputs":
         return CtmqInputs(
-            target_k=int(cfg["schedule.target_k"]),
-            start_bits=int(cfg["schedule.start_bits"]),
-            cycles=int(cfg["schedule.cycles"]),
-            soft_epochs=int(cfg["schedule.soft_epochs"]),
-            cyclic_epochs=int(cfg["schedule.cyclic_epochs"]),
-            final_epochs=int(cfg["schedule.final_epochs"]),
+            target_k=cfg["schedule.target_k"],
+            start_bits=cfg["schedule.start_bits"],
+            cycles=cfg["schedule.cycles"],
+            soft_epochs=cfg["schedule.soft_epochs"],
+            cyclic_epochs=cfg["schedule.cyclic_epochs"],
+            final_epochs=cfg["schedule.final_epochs"],
         )
 
 
@@ -109,7 +109,7 @@ def expand_schedule(inputs: CtmqInputs) -> list[Phase]:
 
 
 def _single_phase(cfg: RunConfig) -> list[Phase]:
-    return [Phase(0, "single", int(cfg["schedule.bit_depth"]), int(cfg["schedule.epochs"]))]
+    return [Phase(0, "single", cfg["schedule.bit_depth"], cfg["schedule.epochs"])]
 
 
 def plan_phases(cfg: RunConfig) -> list[Phase]:
@@ -130,19 +130,19 @@ _IDX_NAMES = {
 def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
     """Resolve the train and eval datasets named by the config."""
     fmt = cfg["data.format"]
-    seed = int(cfg["run.seed"])
+    seed = cfg["run.seed"]
     if fmt == "synthetic":
         train = D.make_synthetic(
-            per_class=int(cfg["data.synth_per_class"]),
-            class_count=int(cfg["data.synth_classes"]),
-            image_size=int(cfg["data.synth_size"]),
+            per_class=cfg["data.synth_per_class"],
+            class_count=cfg["data.synth_classes"],
+            image_size=cfg["data.synth_size"],
             seed=seed,
             split="train",
         )
         test = D.make_synthetic(
-            per_class=max(8, int(cfg["data.synth_per_class"]) // 4),
-            class_count=int(cfg["data.synth_classes"]),
-            image_size=int(cfg["data.synth_size"]),
+            per_class=max(8, cfg["data.synth_per_class"] // 4),
+            class_count=cfg["data.synth_classes"],
+            image_size=cfg["data.synth_size"],
             seed=seed,
             split="test",
         )
@@ -161,11 +161,11 @@ def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
             ei, el = (os.path.join(root, n) for n in _IDX_NAMES["test"])
             train = D.load_idx(ti, tl, split="train")
             test = D.load_idx(ei, el, split="test")
-    if int(cfg["data.train_per_class"]) > 0:
-        train = D.balanced_subset(train, int(cfg["data.train_per_class"]), seed)
-    if int(cfg["data.eval_per_class"]) > 0:
-        test = D.balanced_subset(test, int(cfg["data.eval_per_class"]), seed)
-    if train.class_count != int(cfg["model.num_classes"]):
+    if cfg["data.train_per_class"] > 0:
+        train = D.balanced_subset(train, cfg["data.train_per_class"], seed)
+    if cfg["data.eval_per_class"] > 0:
+        test = D.balanced_subset(test, cfg["data.eval_per_class"], seed)
+    if train.class_count != cfg["model.num_classes"]:
         raise ConfigError(
             f"model.num_classes is {cfg['model.num_classes']} but the training "
             f"set has {train.class_count} classes"
@@ -234,7 +234,7 @@ def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimize
         "normalization": norm.to_dict(),
         "dataset": train_name,
         "config": cfg.canonical_text(),
-        "threads": int(cfg["run.threads"]),
+        "threads": cfg["run.threads"],
     }
     ck = Checkpoint(
         config_digest=cfg.digest(),
@@ -282,17 +282,17 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     after the hand-off and before the phase's first batch; it sees the
     exact weights the phase starts from.
     """
-    out_dir = str(cfg["run.out_dir"])
-    seed = int(cfg["run.seed"])
+    out_dir = cfg["run.out_dir"]
+    seed = cfg["run.seed"]
     phases = plan_phases(cfg)
     train, test = load_datasets(cfg)
     norm = D.Normalization.from_train(train)
     policy = None
-    if bool(cfg["data.augment"]):
-        policy = D.AugmentPolicy(pad=int(cfg["data.pad"]),
-                                 horizontal_flip_prob=float(cfg["data.flip_prob"]))
-    batch_size = int(cfg["data.batch_size"])
-    eval_bs = int(cfg["data.eval_batch_size"]) or batch_size
+    if cfg["data.augment"]:
+        policy = D.AugmentPolicy(pad=cfg["data.pad"],
+                                 horizontal_flip_prob=cfg["data.flip_prob"])
+    batch_size = cfg["data.batch_size"]
+    eval_bs = cfg["data.eval_batch_size"] or batch_size
     if batch_size > len(train.labels):
         raise ConfigError(
             f"data.batch_size {batch_size} exceeds the training set size {len(train.labels)}"
@@ -331,12 +331,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                           f"{ckpt_path} optimizer state")
             optimizer.step_count = loaded.step_count
     elif cfg["schedule.initial_weights"]:
-        warm_path = str(cfg["schedule.initial_weights"])
+        warm_path = cfg["schedule.initial_weights"]
         _load_tensors(load_checkpoint(warm_path).tensors, model.params,
                       f"schedule.initial_weights {warm_path}")
 
     iteration = int(loaded.metadata["iteration"]) if loaded else 0
-    checkpoint_every = int(cfg["run.checkpoint_every"])
+    checkpoint_every = cfg["run.checkpoint_every"]
 
     with MetricsWriter(out_dir, keep_rows) as writer:
         with open(os.path.join(out_dir, "config.txt"), "w") as f:
@@ -356,12 +356,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 on_phase_start(phase, model)
             if phase.index != start_phase:
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
-            lr_schedule = LrSchedule(str(cfg["optimizer.lr_policy"]), phase.epochs)
+            lr_schedule = LrSchedule(cfg["optimizer.lr_policy"], phase.epochs)
 
             global_epoch0 = _epochs_before(phases, phase.index)
             for epoch in range(phase_epoch0, phase.epochs):
                 t0 = time.monotonic()
-                lr = lr_at(lr_schedule, epoch, float(cfg["optimizer.lr_base"]))
+                lr = lr_at(lr_schedule, epoch, cfg["optimizer.lr_base"])
                 loss_sum = 0.0
                 n_batches = 0
                 for xb, yb in D.batches(train, batch_size, seed,

@@ -199,3 +199,26 @@ def test_threads_env_pinned(tmp_path, capsys):
     assert main(["expand", "--config", str(cfg), "--threads", "2"]) == 0
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_threads_below_one_are_refused_before_pinning(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert main(["expand", "--config", str(cfg), "--threads", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threads" in err
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_eval_refuses_a_foreign_eval_csv(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", out, "--quiet"]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, "eval.csv")
+    with open(path, "w") as f:
+        f.write("a,b,c\n1,2,3\n")
+    assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert open(path).read() == "a,b,c\n1,2,3\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from bitcycle.checkpoint import load_checkpoint
 from bitcycle.config import (
     DATA_ROOT_ENV,
     ConfigError,
@@ -7,6 +8,7 @@ from bitcycle.config import (
     apply_overrides,
     parse_config_text,
 )
+from bitcycle.schedule import model_from_checkpoint, run_schedule
 
 
 def test_defaults_materialize():
@@ -144,3 +146,41 @@ def test_data_root_env_fallback(monkeypatch):
     assert cfg.data_root() == "/tmp/somewhere"
     explicit = RunConfig.from_raw(parse_config_text("data.root = /srv/data\n"))
     assert explicit.data_root() == "/srv/data"
+
+
+def test_dict_string_bool_parses_like_config_text():
+    assert RunConfig({"data.augment": "false"})["data.augment"] is False
+    assert RunConfig({"data.augment": "false"}).digest() == RunConfig({"data.augment": False}).digest()
+
+
+def test_dict_value_its_key_cannot_hold_is_refused():
+    with pytest.raises(ConfigError, match="bad value for 'data.batch_size'"):
+        RunConfig({"data.batch_size": 12.5})
+
+
+def test_dict_unknown_key_is_refused():
+    with pytest.raises(ConfigError, match="unknown key 'schedule.tarrget_k'"):
+        RunConfig({"schedule.tarrget_k": 2})
+
+
+def test_list_valued_config_round_trips_and_its_checkpoint_reloads(tmp_path):
+    cfg = RunConfig({
+        "model.stage_channels": [4, 8],
+        "model.blocks_per_stage": [1, 1],
+        "model.num_classes": 4,
+        "data.synth_classes": 4,
+        "data.synth_per_class": 8,
+        "data.synth_size": 12,
+        "data.batch_size": 16,
+        "schedule.mode": "single",
+        "schedule.bit_depth": 2,
+        "schedule.epochs": 1,
+        "run.out_dir": str(tmp_path / "run"),
+    })
+    assert cfg["model.stage_channels"] == (4, 8)
+    raw = {**parse_config_text(cfg.canonical_text()), "run.out_dir": cfg["run.out_dir"]}
+    assert RunConfig.from_raw(raw).values == cfg.values
+    run_schedule(cfg)
+    model, cfg_back = model_from_checkpoint(load_checkpoint(str(tmp_path / "run" / "checkpoint.bin")))
+    assert cfg_back.digest() == cfg.digest()
+    assert model.cfg.stage_channels == (4, 8)

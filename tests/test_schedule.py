@@ -314,6 +314,34 @@ def test_resume_drops_a_torn_last_row(tmp_path, uninterrupted):
         assert (tmp_path / "cut" / f).read_bytes() == full, f
 
 
+def test_crash_between_checkpoint_write_and_rename(tmp_path, uninterrupted, monkeypatch):
+    # the 6th checkpoint.bin save (after the final phase's 2nd epoch) dies
+    # once its temp file is written and before it is renamed into place
+    out = tmp_path / "cut"
+    rename = os.replace
+    saves = []
+    previous = {}
+
+    def crashing_replace(src, dst):
+        if os.path.basename(dst) == "checkpoint.bin":
+            saves.append(src)
+            if len(saves) == 6:
+                assert os.path.getsize(src) > 0
+                previous["bytes"] = (out / "checkpoint.bin").read_bytes()
+                raise OSError("crash before rename")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", crashing_replace)
+    with pytest.raises(OSError, match="crash before rename"):
+        _run(tmp_path, "cut")
+    monkeypatch.undo()
+    assert (out / "checkpoint.bin").read_bytes() == previous["bytes"]
+    assert not list(out.glob("*.tmp"))
+    _run(tmp_path, "cut", resume=True)
+    for f, full in uninterrupted.items():
+        assert (out / f).read_bytes() == full, f
+
+
 @pytest.mark.parametrize("damage", ["missing", "short"])
 @pytest.mark.parametrize("name", ["metrics.csv", "timing.csv"])
 def test_resume_refuses_a_missing_or_short_file(tmp_path, name, damage):
