@@ -5,34 +5,6 @@ gradients and a cyclic bit-depth schedule: knowledge is first handed down
 one bit at a time from a high-precision model, then alternated between the
 target depth and one bit above it, and finally consolidated at the target
 depth. Everything runs on CPU with numpy as the only dependency.
-
-Top-level names resolve lazily so that the command-line front end can pin
-BLAS thread counts through the environment before numpy ever loads.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "Tensor": "tensor",
-    "no_grad": "tensor",
-    "QuantSpec": "quantize",
-    "QuantErrorStats": "quantize",
-    "DegenerateInputError": "quantize",
-    "weight_spec": "quantize",
-    "activation_spec": "quantize",
-    "error_stats": "quantize",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _EXPORTS:
-        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__

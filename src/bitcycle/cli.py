@@ -112,14 +112,14 @@ def _cmd_eval(args, threads: int) -> int:
     from .checkpoint import load_checkpoint
     from .config import RunConfig
     from .data import Normalization
-    from .metrics import METRICS_HEADER, MetricsRow, _prefix_length
+    from .metrics import METRICS_HEADER, MetricsRow, check_appendable
     from .schedule import evaluate, load_datasets, model_from_checkpoint, pooled_weight_error
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     path = os.path.join(out_dir, "eval.csv")
     fresh = not os.path.exists(path)
     if not fresh:
-        _prefix_length(path, METRICS_HEADER, 0)  # refuse a file a row cannot join
+        check_appendable(path, METRICS_HEADER)
     ck = load_checkpoint(args.checkpoint)
     model, cfg = model_from_checkpoint(ck)
     if args.data is not None:

@@ -137,8 +137,14 @@ def typed_values(raw: dict[str, str], origin: str = "<config>") -> dict[str, obj
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"{origin}: unknown key {key!r}")
+        parse = _SCHEMA[key][1]
+        # canonical_text writes every string but run.out_dir; each must parse back unchanged
+        if parse is str and key != "run.out_dir" and (
+                "#" in value or value != value.strip() or len(value.splitlines()) > 1):
+            raise ConfigError(f"{origin}: {key!r} cannot hold {value!r}: config text cannot "
+                              "carry a '#', a line break or leading/trailing whitespace")
         try:
-            typed[key] = _SCHEMA[key][1](value)
+            typed[key] = parse(value)
         except ValueError as e:
             raise ConfigError(f"{origin}: bad value for {key!r}: {e}") from None
     return typed

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -109,40 +110,33 @@ def _parse_cifar_bytes(raw: bytes, origin: str) -> tuple[np.ndarray, np.ndarray,
     return images, labels, 10 if fits10 else 100
 
 
+# (subdirectory, train files, test files); the first row whose files all exist wins
+_CIFAR_BATCHES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
+_CIFAR_LAYOUTS = (
+    ("", _CIFAR_BATCHES, ("test_batch.bin",)),
+    ("cifar-10-batches-bin", _CIFAR_BATCHES, ("test_batch.bin",)),
+    ("", ("train.bin",), ("test.bin",)),
+    ("cifar-100-binary", ("train.bin",), ("test.bin",)),
+)
+
+
 def _cifar_files(root: str, split: str) -> list[str]:
     if os.path.isfile(root):
         return [root]
-    candidates = []
-    if split == "train":
-        for sub in ("", "cifar-10-batches-bin"):
-            batch = [os.path.join(root, sub, f"data_batch_{i}.bin") for i in range(1, 6)]
-            if all(os.path.isfile(p) for p in batch):
-                candidates = batch
-                break
-        if not candidates:
-            for sub in ("", "cifar-100-binary"):
-                p = os.path.join(root, sub, "train.bin")
-                if os.path.isfile(p):
-                    candidates = [p]
-                    break
-    else:
-        for sub, fname in (("", "test_batch.bin"), ("cifar-10-batches-bin", "test_batch.bin"),
-                           ("", "test.bin"), ("cifar-100-binary", "test.bin")):
-            p = os.path.join(root, sub, fname)
-            if os.path.isfile(p):
-                candidates = [p]
-                break
-    if not candidates:
-        raise FileNotFoundError(f"no CIFAR binary files for split {split!r} under {root}")
-    return candidates
+    for sub, train, test in _CIFAR_LAYOUTS:
+        paths = [os.path.join(root, sub, name) for name in (train if split == "train" else test)]
+        if all(os.path.isfile(p) for p in paths):
+            return paths
+    raise FileNotFoundError(f"no CIFAR binary files for split {split!r} under {root}")
 
 
 def load_cifar(path: str, split: str = "train") -> Dataset:
-    """Load a CIFAR binary file or directory tree into a Dataset.
+    """Load one split of a CIFAR binary corpus into a Dataset.
 
-    Accepts either a single .bin file or a root directory holding the
-    standard distribution layout. The 10- and 100-class variants are told
-    apart by record size; the 100-class fine label is used.
+    path is a single .bin file, read whatever the split, or a directory holding
+    the first of _CIFAR_LAYOUTS whose files all exist; split "train" reads its
+    train files and any other split its test files. The 10- and 100-class
+    variants are told apart by record size; the 100-class fine label is used.
     """
     images, labels, class_count = [], [], None
     for p in _cifar_files(path, split):
@@ -184,14 +178,11 @@ def read_idx(path: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: Optional[str] = None,
-             split: str = "train", class_count: Optional[int] = None) -> Dataset:
-    """Load an IDX image file plus its label file ("images" -> "labels" by name)."""
-    if labels_path is None:
-        guess = images_path.replace("images", "labels").replace("idx3", "idx1")
-        if guess == images_path or not os.path.isfile(guess):
-            raise FileNotFoundError(f"cannot locate labels file for {images_path}")
-        labels_path = guess
+def load_idx(images_path: str, labels_path: str, split: str = "train") -> Dataset:
+    """Load an IDX image file (N x H x W or N x C x H x W) and its 1-d label file.
+
+    The class count is one more than the largest label.
+    """
     images = read_idx(images_path)
     labels = read_idx(labels_path).astype(np.int64)
     if images.ndim == 3:
@@ -202,8 +193,7 @@ def load_idx(images_path: str, labels_path: Optional[str] = None,
         raise ValueError(f"{labels_path}: expected 1-d labels, got dims {labels.shape}")
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
-    if class_count is None:
-        class_count = int(labels.max()) + 1 if len(labels) else 0
+    class_count = int(labels.max()) + 1 if len(labels) else 0
     return Dataset(images=images, labels=labels, split=split, class_count=class_count, name="idx")
 
 
@@ -221,11 +211,8 @@ def _augment(x: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> 
     if p:
         padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         offs = rng.integers(0, 2 * p + 1, size=(b, 2))
-        out = np.empty_like(x)
-        for i in range(b):
-            oy, ox = offs[i]
-            out[i] = padded[i, :, oy : oy + h, ox : ox + w]
-        x = out
+        win = sliding_window_view(padded, (h, w), axis=(2, 3))  # (b, c, 2p+1, 2p+1, h, w)
+        x = win[np.arange(b), :, offs[:, 0], offs[:, 1]]
     if policy.horizontal_flip_prob > 0:
         flips = rng.random(b) < policy.horizontal_flip_prob
         x[flips] = x[flips, :, :, ::-1]

@@ -81,6 +81,14 @@ def _prefix_length(path: str, header: str, rows: int) -> int:
         return f.tell()
 
 
+def check_appendable(path: str, header: str) -> None:
+    """Refuse a csv file a new row cannot join: a foreign header or a torn last line."""
+    _prefix_length(path, header, 0)
+    with open(path, "rb") as f:
+        if not f.read().endswith(b"\n"):
+            raise ValueError(f"{path} ends in a torn line with no final newline")
+
+
 class MetricsWriter:
     """Appends rows to metrics.csv and timing.csv; keep_rows=K resumes both after row K."""
 

@@ -121,12 +121,6 @@ def plan_phases(cfg: RunConfig) -> list[Phase]:
 # ----------------------------------------------------------------------
 # data plumbing
 
-_IDX_NAMES = {
-    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-}
-
-
 def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
     """Resolve the train and eval datasets named by the config."""
     fmt = cfg["data.format"]
@@ -157,10 +151,10 @@ def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
             train = D.load_cifar(root, split="train")
             test = D.load_cifar(root, split="test")
         else:
-            ti, tl = (os.path.join(root, n) for n in _IDX_NAMES["train"])
-            ei, el = (os.path.join(root, n) for n in _IDX_NAMES["test"])
-            train = D.load_idx(ti, tl, split="train")
-            test = D.load_idx(ei, el, split="test")
+            train = D.load_idx(os.path.join(root, "train-images-idx3-ubyte"),
+                               os.path.join(root, "train-labels-idx1-ubyte"), split="train")
+            test = D.load_idx(os.path.join(root, "t10k-images-idx3-ubyte"),
+                              os.path.join(root, "t10k-labels-idx1-ubyte"), split="test")
     if cfg["data.train_per_class"] > 0:
         train = D.balanced_subset(train, cfg["data.train_per_class"], seed)
     if cfg["data.eval_per_class"] > 0:
@@ -282,6 +276,9 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     after the hand-off and before the phase's first batch; it sees the
     exact weights the phase starts from.
     """
+    if cfg["data.format"] != "synthetic" and os.path.isfile(cfg.data_root()):
+        raise ConfigError(f"data.root {cfg.data_root()!r} is a file, which would serve as both "
+                          "the train and the eval split; set it to the directory that holds them")
     out_dir = cfg["run.out_dir"]
     seed = cfg["run.seed"]
     phases = plan_phases(cfg)

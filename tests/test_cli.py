@@ -184,6 +184,15 @@ def test_thread_scan_loads_no_numpy(tmp_path):
     assert out.split() == ["3", "False"]
 
 
+def test_package_import_loads_no_numpy():
+    script = "import sys\nimport bitcycle\nprint('numpy' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(bitcycle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_bad_thread_override_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
@@ -222,3 +231,19 @@ def test_eval_refuses_a_foreign_eval_csv(tiny_cfg, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and path in err
     assert open(path).read() == "a,b,c\n1,2,3\n"
+
+
+def test_eval_refuses_an_eval_csv_with_a_torn_last_line(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", out, "--quiet"]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, "eval.csv")
+    with open(os.path.join(out, "metrics.csv"), "rb") as f:
+        torn = f.read()[:-5]
+    with open(path, "wb") as f:
+        f.write(torn)
+    assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    with open(path, "rb") as f:
+        assert f.read() == torn

@@ -184,3 +184,26 @@ def test_list_valued_config_round_trips_and_its_checkpoint_reloads(tmp_path):
     model, cfg_back = model_from_checkpoint(load_checkpoint(str(tmp_path / "run" / "checkpoint.bin")))
     assert cfg_back.digest() == cfg.digest()
     assert model.cfg.stage_channels == (4, 8)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("data.root", "/data/run#1"),
+    ("schedule.initial_weights", " w.bin"),
+    ("data.root", "/data/ "),
+    ("data.root", "/data\nrun.seed = 5"),
+    ("data.root", "/data\r"),
+])
+def test_string_config_text_cannot_carry_is_refused(key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        RunConfig({key: value})
+
+
+def test_override_with_a_comment_sign_is_refused(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("data.format = cifar\n")
+    with pytest.raises(ConfigError, match="'data.root'"):
+        RunConfig.from_file(str(path), overrides=["data.root=/x#y"])
+
+
+def test_out_dir_is_not_config_text_and_stays_free():
+    assert RunConfig({"run.out_dir": " runs/a#1 "})["run.out_dir"] == " runs/a#1 "

@@ -17,6 +17,7 @@ from bitcycle.data import (
     make_synthetic,
     read_idx,
 )
+from bitcycle.data import _augment
 
 
 def write_cifar10_file(path, records):
@@ -40,6 +41,26 @@ def write_idx(path, arr):
         f.write(struct.pack(">BBBB", 0, 0, 0x08, arr.ndim))
         f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
         f.write(arr.tobytes())
+
+
+# every (subdirectory, train files, test files) layout load_cifar resolves, in precedence order
+CIFAR_LAYOUTS = [
+    ("", [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"]),
+    ("cifar-10-batches-bin", [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"]),
+    ("", ["train.bin"], ["test.bin"]),
+    ("cifar-100-binary", ["train.bin"], ["test.bin"]),
+]
+
+
+def write_layout(root, layout, label_base):
+    """One record per file, labelled label_base + its position in its split."""
+    sub, train_names, test_names = layout
+    d = root / sub
+    d.mkdir(exist_ok=True)
+    pixels = np.zeros(3072, dtype=np.uint8)
+    for names in (train_names, test_names):
+        for i, name in enumerate(names):
+            write_cifar10_file(d / name, [(label_base + i, pixels)])
 
 
 class TestCifar:
@@ -88,6 +109,25 @@ class TestCifar:
         with pytest.raises(FileNotFoundError):
             load_cifar(str(tmp_path), "train")
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("layout", CIFAR_LAYOUTS, ids=lambda l: l[0] + ":" + l[1][0])
+    def test_each_layout_resolves(self, tmp_path, layout, split):
+        names = layout[1] if split == "train" else layout[2]
+        write_layout(tmp_path, layout, label_base=0)
+        ds = load_cifar(str(tmp_path), split)
+        np.testing.assert_array_equal(ds.labels, range(len(names)))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("winner,loser", [
+        (CIFAR_LAYOUTS[0], CIFAR_LAYOUTS[1]),  # root-level batches over cifar-10-batches-bin/
+        (CIFAR_LAYOUTS[0], CIFAR_LAYOUTS[2]),  # data_batch_* over train.bin
+    ], ids=["root-over-subdir", "batches-over-train-bin"])
+    def test_layout_precedence(self, tmp_path, winner, loser, split):
+        write_layout(tmp_path, winner, label_base=0)
+        write_layout(tmp_path, loser, label_base=5)
+        ds = load_cifar(str(tmp_path), split)
+        assert ds.labels.max() < 5
+
     def test_loading_is_idempotent(self, tmp_path):
         rng = np.random.default_rng(1)
         p = tmp_path / "x.bin"
@@ -104,7 +144,7 @@ class TestIdx:
         labels = np.array([1, 0], dtype=np.uint8)
         write_idx(tmp_path / "t-images-idx3-ubyte", imgs)
         write_idx(tmp_path / "t-labels-idx1-ubyte", labels)
-        ds = load_idx(str(tmp_path / "t-images-idx3-ubyte"))
+        ds = load_idx(str(tmp_path / "t-images-idx3-ubyte"), str(tmp_path / "t-labels-idx1-ubyte"))
         assert ds.images.shape == (2, 1, 4, 4)
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
@@ -118,14 +158,14 @@ class TestIdx:
     def test_empty_tensor_is_fine(self, tmp_path):
         write_idx(tmp_path / "e-images-idx3-ubyte", np.zeros((0, 3, 3), dtype=np.uint8))
         write_idx(tmp_path / "e-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
-        ds = load_idx(str(tmp_path / "e-images-idx3-ubyte"))
+        ds = load_idx(str(tmp_path / "e-images-idx3-ubyte"), str(tmp_path / "e-labels-idx1-ubyte"))
         assert len(ds) == 0
 
     def test_count_mismatch(self, tmp_path):
         write_idx(tmp_path / "m-images-idx3-ubyte", np.zeros((3, 2, 2), dtype=np.uint8))
         write_idx(tmp_path / "m-labels-idx1-ubyte", np.zeros(2, dtype=np.uint8))
         with pytest.raises(ValueError, match="images but"):
-            load_idx(str(tmp_path / "m-images-idx3-ubyte"))
+            load_idx(str(tmp_path / "m-images-idx3-ubyte"), str(tmp_path / "m-labels-idx1-ubyte"))
 
     def test_payload_size_checked(self, tmp_path):
         p = tmp_path / "short"
@@ -206,6 +246,31 @@ class TestBatching:
         np.testing.assert_array_equal(ys, ds.labels)
         sizes = [len(y) for _, y in eval_batches(ds, 4)]
         assert sizes == [4, 4, 2]
+
+
+def reference_augment(x, policy, rng):
+    """Per-image crop and flip, drawing from rng in the order _augment does."""
+    b, c, h, w = x.shape
+    p = policy.pad
+    if p:
+        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        offs = rng.integers(0, 2 * p + 1, size=(b, 2))
+        x = np.stack([padded[i, :, oy : oy + h, ox : ox + w] for i, (oy, ox) in enumerate(offs)])
+    flips = rng.random(b) < policy.horizontal_flip_prob
+    for i in np.flatnonzero(flips):
+        x[i] = x[i, :, :, ::-1].copy()
+    return x
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2, 4])
+@pytest.mark.parametrize("shape", [(16, 3, 32, 32), (5, 1, 7, 9)])
+def test_augment_matches_per_image_reference(pad, shape):
+    x = np.random.default_rng(1).random(shape, dtype=np.float32)
+    policy = AugmentPolicy(pad=pad, horizontal_flip_prob=0.5)
+    got = _augment(x.copy(), policy, np.random.default_rng(7))
+    want = reference_augment(x.copy(), policy, np.random.default_rng(7))
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
 
 
 class TestNormalization:

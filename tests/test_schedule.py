@@ -147,6 +147,20 @@ def test_load_datasets_cifar_needs_root(monkeypatch):
         load_datasets(cfg)
 
 
+def test_training_refuses_a_file_data_root(tmp_path):
+    # a lone .bin would be read as both splits, so eval top-1 would be training accuracy
+    rng = np.random.default_rng(0)
+    path = tmp_path / "all.bin"
+    path.write_bytes(b"".join(bytes([i % 10]) + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes()
+                              for i in range(40)))
+    out = tmp_path / "run"
+    cfg = RunConfig(tiny_values(**{"data.format": "cifar", "data.root": str(path),
+                                   "model.num_classes": 10, "run.out_dir": str(out)}))
+    with pytest.raises(ConfigError, match="data.root .* directory"):
+        run_schedule(cfg)
+    assert not out.exists()
+
+
 def test_load_datasets_train_subset():
     cfg = RunConfig(tiny_values(**{"data.train_per_class": 2}))
     train, _ = load_datasets(cfg)
