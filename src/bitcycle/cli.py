@@ -126,7 +126,7 @@ def _cmd_eval(args, threads: int) -> int:
         cfg = RunConfig({**cfg.values, "data.root": args.data})
     _, test = load_datasets(cfg)
     norm = Normalization.from_dict(ck.metadata["normalization"])
-    batch_size = args.batch_size or cfg["data.batch_size"]
+    batch_size = cfg["data.batch_size"] if args.batch_size is None else args.batch_size
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
     print(f"phase {ck.phase_index} ({ck.metadata.get('part', '?')}), "
@@ -153,11 +153,14 @@ def _cmd_expand(args, threads: int) -> int:
 
     cfg = _load_config(args, threads)
     phases = plan_phases(cfg)
-    try:
-        train, _ = load_datasets(cfg)
-        per_epoch = len(train.labels) // cfg["data.batch_size"]
-    except Exception:
-        per_epoch = None
+    # the plan prints without a corpus on disk; a corpus that is there must load
+    per_epoch = None
+    if cfg["data.format"] == "synthetic" or cfg.data_root():
+        try:
+            train, _ = load_datasets(cfg)
+            per_epoch = len(train.labels) // cfg["data.batch_size"]
+        except FileNotFoundError:
+            pass
 
     print(f"{'index':>5}  {'part':<13}  {'bits':>4}  {'epochs':>6}  {'iterations':>10}")
     total_epochs = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 # models and optim load numpy, which the CLI must not load before it pins threads
@@ -167,24 +167,28 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
+        # a key's bound lives in the object that takes the key; only keys no object takes are checked here
+        from .data import AugmentPolicy
         from .optim import LrSchedule
+        from .schedule import CtmqInputs, _single_phase, expand_schedule
 
-        self.optimizer_config()          # raises on bad optimizer fields
-        LrSchedule(self["optimizer.lr_policy"], max(1, self["schedule.epochs"]))
-        self.model_config(32)            # raises on bad architecture fields
         if self["schedule.mode"] not in ("ctmq", "single"):
             raise ConfigError(f"schedule.mode must be ctmq or single, got {self['schedule.mode']!r}")
         if self["data.format"] not in ("cifar", "idx", "synthetic"):
             raise ConfigError(f"data.format must be cifar, idx, or synthetic, got {self['data.format']!r}")
-        for key in ("schedule.target_k", "schedule.bit_depth"):
-            if not 1 <= self[key] <= 32:
-                raise ConfigError(f"{key} must be in [1, 32], got {self[key]}")
-        for key in ("schedule.soft_epochs", "schedule.cyclic_epochs", "schedule.final_epochs",
-                    "schedule.epochs", "data.batch_size", "run.threads"):
-            if self[key] < 1:
-                raise ConfigError(f"{key} must be at least 1, got {self[key]}")
-        if self["schedule.cycles"] < 0:
-            raise ConfigError(f"schedule.cycles must be nonnegative, got {self['schedule.cycles']}")
+        for key, low in (("data.batch_size", 1), ("data.eval_batch_size", 0),
+                         ("run.threads", 1), ("run.checkpoint_every", 1)):
+            if self[key] < low:
+                raise ConfigError(f"{key} must be at least {low}, got {self[key]}")
+        try:
+            self.optimizer_config()
+            self.view(AugmentPolicy, "data")
+            # both modes' plans, so a key is refused whichever mode is set
+            for phase in expand_schedule(self.view(CtmqInputs, "schedule")) + _single_phase(self):
+                self.model_config(phase.bit_depth)
+                LrSchedule(self["optimizer.lr_policy"], phase.epochs)
+        except ValueError as e:
+            raise ConfigError(f"invalid config: {e}") from None
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -216,30 +220,24 @@ class RunConfig:
     # ------------------------------------------------------------------
     # typed views
 
+    def view(self, cls, group: str, **given):
+        """Build dataclass ``cls`` from the keys ``<group>.<field>``.
+
+        Each field name of ``cls`` is the suffix of the key that fills it; ``given``
+        supplies the fields no key holds. ``cls`` checks its own bounds.
+        """
+        return cls(**{f.name: self[f"{group}.{f.name}"] for f in fields(cls)
+                      if f.name not in given}, **given)
+
     def model_config(self, bit_depth: int) -> ModelConfig:
         from .models import ModelConfig
 
-        return ModelConfig(
-            block_kind=self["model.block_kind"],
-            stage_channels=self["model.stage_channels"],
-            blocks_per_stage=self["model.blocks_per_stage"],
-            num_classes=self["model.num_classes"],
-            stem=self["model.stem"],
-            bit_depth=bit_depth,
-            in_channels=self["model.in_channels"],
-        )
+        return self.view(ModelConfig, "model", bit_depth=bit_depth)
 
     def optimizer_config(self) -> OptimizerConfig:
         from .optim import OptimizerConfig
 
-        return OptimizerConfig(
-            kind=self["optimizer.kind"],
-            lr_base=self["optimizer.lr_base"],
-            beta1=self["optimizer.beta1"],
-            beta2=self["optimizer.beta2"],
-            eps=self["optimizer.eps"],
-            weight_decay=self["optimizer.weight_decay"],
-        )
+        return self.view(OptimizerConfig, "optimizer")
 
     def data_root(self) -> str:
         return self["data.root"] or os.environ.get(DATA_ROOT_ENV, "")

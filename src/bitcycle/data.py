@@ -50,10 +50,16 @@ class Dataset:
 
 @dataclass
 class AugmentPolicy:
-    """Zero-pad, random-crop back to size, then flip left-right with probability p."""
+    """Zero-pad, random-crop back to size, then flip left-right with probability flip_prob."""
 
     pad: int = 4
-    horizontal_flip_prob: float = 0.5
+    flip_prob: float = 0.5
+
+    def __post_init__(self):
+        if self.pad < 0:
+            raise ValueError(f"pad must be nonnegative, got {self.pad}")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
 
 
 @dataclass
@@ -213,8 +219,8 @@ def _augment(x: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> 
         offs = rng.integers(0, 2 * p + 1, size=(b, 2))
         win = sliding_window_view(padded, (h, w), axis=(2, 3))  # (b, c, 2p+1, 2p+1, h, w)
         x = win[np.arange(b), :, offs[:, 0], offs[:, 1]]
-    if policy.horizontal_flip_prob > 0:
-        flips = rng.random(b) < policy.horizontal_flip_prob
+    if policy.flip_prob > 0:
+        flips = rng.random(b) < policy.flip_prob
         x[flips] = x[flips, :, :, ::-1]
     return x
 

@@ -66,17 +66,6 @@ class CtmqInputs:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
-    @staticmethod
-    def from_config(cfg: RunConfig) -> "CtmqInputs":
-        return CtmqInputs(
-            target_k=cfg["schedule.target_k"],
-            start_bits=cfg["schedule.start_bits"],
-            cycles=cfg["schedule.cycles"],
-            soft_epochs=cfg["schedule.soft_epochs"],
-            cyclic_epochs=cfg["schedule.cyclic_epochs"],
-            final_epochs=cfg["schedule.final_epochs"],
-        )
-
 
 @dataclass(frozen=True)
 class Phase:
@@ -115,7 +104,7 @@ def _single_phase(cfg: RunConfig) -> list[Phase]:
 def plan_phases(cfg: RunConfig) -> list[Phase]:
     if cfg["schedule.mode"] == "single":
         return _single_phase(cfg)
-    return expand_schedule(CtmqInputs.from_config(cfg))
+    return expand_schedule(cfg.view(CtmqInputs, "schedule"))
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +166,8 @@ def evaluate(model: QuantResNet, ds: D.Dataset, batch_size: int,
     Accuracies are exact example counts divided by the dataset size, so
     they do not depend on the batch size used to stream the data.
     """
+    if batch_size < 1:
+        raise ValueError(f"eval batch size must be at least 1, got {batch_size}")
     top1 = 0
     top5 = 0
     loss_sum = 0.0
@@ -284,10 +275,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     phases = plan_phases(cfg)
     train, test = load_datasets(cfg)
     norm = D.Normalization.from_train(train)
-    policy = None
-    if cfg["data.augment"]:
-        policy = D.AugmentPolicy(pad=cfg["data.pad"],
-                                 horizontal_flip_prob=cfg["data.flip_prob"])
+    policy = cfg.view(D.AugmentPolicy, "data") if cfg["data.augment"] else None
     batch_size = cfg["data.batch_size"]
     eval_bs = cfg["data.eval_batch_size"] or batch_size
     if batch_size > len(train.labels):

@@ -147,6 +147,32 @@ def test_eval_batch_size_invariant(tiny_cfg, tmp_path, capsys):
     assert rows[0].eval_top5 == rows[1].eval_top5
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-4"])
+def test_eval_refuses_a_batch_size_below_one(tiny_cfg, tmp_path, capsys, batch_size):
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", out, "--quiet"]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    assert main(["eval", "--checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "eval.csv"), "rb") as f:
+        before = f.read()
+    assert main(["eval", "--checkpoint", ckpt, "--batch-size", batch_size]) == 1
+    assert f"got {batch_size}" in capsys.readouterr().err
+    with open(os.path.join(out, "eval.csv"), "rb") as f:
+        assert f.read() == before
+
+
+def test_expand_reports_a_malformed_corpus(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("train.bin", "test.bin"):
+        (root / name).write_bytes(bytes(4000))  # not a whole number of records
+    cfg = tmp_path / "cifar.cfg"
+    cfg.write_text(f"data.format = cifar\ndata.root = {root}\n")
+    assert main(["expand", "--config", str(cfg)]) == 1
+    assert "train.bin" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     rc = main(["eval", "--checkpoint", missing, "--out", str(tmp_path)])

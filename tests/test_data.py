@@ -204,7 +204,7 @@ class TestBatching:
 
     def test_identity_policy_preserves_pixels(self):
         ds = small_dataset()
-        policy = AugmentPolicy(pad=0, horizontal_flip_prob=0.0)
+        policy = AugmentPolicy(pad=0, flip_prob=0.0)
         for x, y in batches(ds, 8, seed=1, epoch=0, policy=policy):
             assert x.data.min() >= 0.0 and x.data.max() <= 1.0
         raw = [(x.data.copy(), y) for x, y in batches(ds, 8, seed=1, epoch=0)]
@@ -235,7 +235,7 @@ class TestBatching:
 
     def test_crop_keeps_shape_and_flip_keeps_label(self):
         ds = small_dataset()
-        policy = AugmentPolicy(pad=2, horizontal_flip_prob=1.0)
+        policy = AugmentPolicy(pad=2, flip_prob=1.0)
         plain = {tuple(y): x.data.shape for x, y in batches(ds, 8, seed=9, epoch=0)}
         for x, y in batches(ds, 8, seed=9, epoch=0, policy=policy):
             assert x.data.shape == plain[tuple(y)]
@@ -256,7 +256,7 @@ def reference_augment(x, policy, rng):
         padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         offs = rng.integers(0, 2 * p + 1, size=(b, 2))
         x = np.stack([padded[i, :, oy : oy + h, ox : ox + w] for i, (oy, ox) in enumerate(offs)])
-    flips = rng.random(b) < policy.horizontal_flip_prob
+    flips = rng.random(b) < policy.flip_prob
     for i in np.flatnonzero(flips):
         x[i] = x[i, :, :, ::-1].copy()
     return x
@@ -266,7 +266,7 @@ def reference_augment(x, policy, rng):
 @pytest.mark.parametrize("shape", [(16, 3, 32, 32), (5, 1, 7, 9)])
 def test_augment_matches_per_image_reference(pad, shape):
     x = np.random.default_rng(1).random(shape, dtype=np.float32)
-    policy = AugmentPolicy(pad=pad, horizontal_flip_prob=0.5)
+    policy = AugmentPolicy(pad=pad, flip_prob=0.5)
     got = _augment(x.copy(), policy, np.random.default_rng(7))
     want = reference_augment(x.copy(), policy, np.random.default_rng(7))
     assert got.shape == shape

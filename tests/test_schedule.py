@@ -161,6 +161,14 @@ def test_training_refuses_a_file_data_root(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("run.checkpoint_every", 0), ("data.eval_batch_size", -1)])
+def test_training_refuses_a_bad_value_before_touching_disk(tmp_path, key, value):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=key):
+        run_schedule(RunConfig(tiny_values(**{key: value, "run.out_dir": str(out)})))
+    assert not out.exists()
+
+
 def test_load_datasets_train_subset():
     cfg = RunConfig(tiny_values(**{"data.train_per_class": 2}))
     train, _ = load_datasets(cfg)
