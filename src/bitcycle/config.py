@@ -177,6 +177,7 @@ class RunConfig:
         if self["data.format"] not in ("cifar", "idx", "synthetic"):
             raise ConfigError(f"data.format must be cifar, idx, or synthetic, got {self['data.format']!r}")
         for key, low in (("data.batch_size", 1), ("data.eval_batch_size", 0),
+                         ("data.train_per_class", 0), ("data.eval_per_class", 0),
                          ("run.threads", 1), ("run.checkpoint_every", 1)):
             if self[key] < low:
                 raise ConfigError(f"{key} must be at least {low}, got {self[key]}")

@@ -286,6 +286,10 @@ def make_synthetic(per_class: int, class_count: int = 8, image_size: int = 16,
     channel emphasis, and pixel noise. Deterministic in the seed; useful
     wherever a real corpus is too heavy or unavailable.
     """
+    for name, value in (("per_class", per_class), ("class_count", class_count),
+                        ("image_size", image_size)):
+        if value < 1:
+            raise ValueError(f"synthetic corpus: {name} must be at least 1, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5F17, 0 if split == "train" else 1]))
     s = image_size
     yy, xx = np.mgrid[0:s, 0:s].astype(np.float64) / s

@@ -17,12 +17,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-METRICS_HEADER = (
-    "phase,part,bit_depth,epoch,iteration,lr,train_loss,"
-    "eval_top1,eval_top5,mean_abs_quant_error"
-)
 TIMING_HEADER = "phase,epoch,wall_seconds"
 
 
@@ -41,13 +37,15 @@ class MetricsRow:
     wall_seconds: float = 0.0
 
     def csv_line(self) -> str:
-        fields = [
-            str(self.phase), self.part, str(self.bit_depth), str(self.epoch),
-            str(self.iteration), repr(float(self.lr)), repr(float(self.train_loss)),
-            repr(float(self.eval_top1)), repr(float(self.eval_top5)),
-            repr(float(self.mean_abs_quant_error)),
-        ]
-        return ",".join(fields)
+        # floats print as repr so read_metrics gets the exact value back
+        return ",".join(repr(float(getattr(self, f.name))) if f.type == "float"
+                        else str(getattr(self, f.name)) for f in _COLUMNS)
+
+
+# metrics.csv holds every field but wall_seconds, which goes to timing.csv
+_COLUMNS = [f for f in fields(MetricsRow) if f.name != "wall_seconds"]
+_PARSERS = {"int": int, "str": str, "float": float}
+METRICS_HEADER = ",".join(f.name for f in _COLUMNS)
 
 
 def read_metrics(path: str) -> list[MetricsRow]:
@@ -58,14 +56,10 @@ def read_metrics(path: str) -> list[MetricsRow]:
         if header != METRICS_HEADER.split(","):
             raise ValueError(f"{path}: unexpected metrics header {header}")
         for rec in reader:
-            if len(rec) != 10:
-                raise ValueError(f"{path}:{reader.line_num}: expected 10 fields, got {len(rec)}")
-            rows.append(MetricsRow(
-                phase=int(rec[0]), part=rec[1], bit_depth=int(rec[2]),
-                epoch=int(rec[3]), iteration=int(rec[4]), lr=float(rec[5]),
-                train_loss=float(rec[6]), eval_top1=float(rec[7]),
-                eval_top5=float(rec[8]), mean_abs_quant_error=float(rec[9]),
-            ))
+            if len(rec) != len(_COLUMNS):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(_COLUMNS)} fields, "
+                                 f"got {len(rec)}")
+            rows.append(MetricsRow(**{f.name: _PARSERS[f.type](v) for f, v in zip(_COLUMNS, rec)}))
     return rows
 
 

@@ -52,6 +52,8 @@ class ModelConfig:
             )
         if any(c < 1 for c in self.stage_channels) or any(b < 1 for b in self.blocks_per_stage):
             raise ValueError("stage channels and block counts must be positive")
+        if self.in_channels < 1:
+            raise ValueError(f"in_channels must be at least 1, got {self.in_channels}")
         if not 1 <= self.bit_depth <= 32:
             raise ValueError(f"bit_depth must be in [1, 32], got {self.bit_depth}")
         if self.num_classes < 2:

@@ -5,7 +5,8 @@ receiving gradient updates. Weight quantization normalizes through tanh into
 [0, 1], snaps onto a uniform lattice of 2^k levels, and maps back to [-1, 1];
 the binary case uses sign times the mean magnitude instead. Activations are
 clamped to [0, 1] and snapped onto the same kind of lattice. Bit depth 32
-means quantization is disabled and every op is the identity.
+means quantization is disabled: apply_quantizer and the fake-quant nodes
+are the identity there, and QuantSpec.identity is the one place that says so.
 
 Rounding is half-away-from-zero everywhere, applied identically here and in
 any reference evaluation; numpy's round (banker's rounding) is deliberately
@@ -62,19 +63,6 @@ def activation_spec(k: int) -> QuantSpec:
     return QuantSpec(k, "activation")
 
 
-@dataclass
-class QuantErrorStats:
-    """Elementwise error between a tensor and its quantized image.
-
-    ``level_histogram`` maps each distinct quantized value to its count;
-    the counts always sum to the element count.
-    """
-
-    mean_abs_err: float
-    max_abs_err: float
-    level_histogram: dict[float, int]
-
-
 def _check_nonzero(w: np.ndarray, what: str) -> None:
     if w.size == 0:
         raise DegenerateInputError(f"{what}: empty tensor")
@@ -92,9 +80,7 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
 
 
 def quantize_weights_kbit(w: np.ndarray, k: int) -> np.ndarray:
-    """Snap weights onto the k-bit lattice in [-1, 1] (k >= 2; k = 32 is the identity)."""
-    if k == REAL_BITS:
-        return np.asarray(w)
+    """Snap weights onto the k-bit lattice in [-1, 1] (k >= 2)."""
     if k < 2:
         raise ValueError(f"quantize_weights_kbit needs k >= 2, got {k}")
     levels = float(2 ** k - 1)
@@ -111,10 +97,7 @@ def quantize_weights_binary(w: np.ndarray) -> np.ndarray:
 
 
 def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
-    """Clamp to [0, 1] and snap onto the k-bit lattice (k = 32 is the identity)."""
-    x = np.asarray(x)
-    if k == REAL_BITS:
-        return x
+    """Clamp to [0, 1] and snap onto the k-bit lattice."""
     if k < 1:
         raise ValueError(f"activation bit depth must be >= 1, got {k}")
     levels = float(2 ** k - 1)
@@ -144,60 +127,38 @@ def ste_backward(upstream: np.ndarray, pre_quant: np.ndarray, lo: float, hi: flo
     return upstream * mask
 
 
-def fq_weights(w: Tensor, k: int) -> Tensor:
-    """Fake-quantize a weight tensor at bit depth k inside the autodiff graph.
+def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
+    """Forward apply_quantizer(t, spec); backward by the spec's kind.
 
-    k = 32 returns the tensor untouched. k = 1 snaps to sign times mean
-    magnitude and masks the gradient to the [-1, 1] window. k >= 2 runs
-    quantize_weights_kbit, the quantizer the oracle tests check; its backward
-    differentiates the tanh normalization exactly, holding the max |tanh|
-    scale fixed, and treats the rounding as a straight pass-through.
+    An identity spec hands t back untouched, so no node is made. Both STEs mask the gradient to the input window: [-1, 1] for binary
+    weights, [0, 1] for activations. Multi-bit weights differentiate the
+    tanh normalization exactly, holding the max |tanh| scale fixed, and
+    treat the rounding as a straight pass-through.
     """
-    if k == REAL_BITS:
-        return w
-    wd = w.data
-    if k == 1:
-        out = quantize_weights_binary(wd).astype(wd.dtype, copy=False)
+    if spec.identity:
+        return t
+    d = t.data
+    out = apply_quantizer(d, spec).astype(d.dtype, copy=False)
+    if spec.kind == "weight_multi_bit":
+        def backward(g):
+            # d is the live parameter array; backward runs before the optimizer
+            # updates it, so tanh and its max are those the forward pass used
+            th = np.tanh(d)
+            return (g * (1.0 - th * th) / np.max(np.abs(th)),)
+    else:
+        lo = -1.0 if spec.kind == "weight_binary" else 0.0
 
         def backward(g):
-            return (ste_backward(g, wd, -1.0, 1.0),)
+            return (ste_backward(g, d, lo, 1.0),)
 
-        return _node(out, (w,), backward)
+    return _node(out, (t,), backward)
 
-    out = quantize_weights_kbit(wd, k).astype(wd.dtype, copy=False)
 
-    def backward(g):
-        # wd is the live parameter array; backward runs before the optimizer
-        # updates it, so tanh and its max are those the forward pass used
-        t = np.tanh(wd)
-        return (g * (1.0 - t * t) / np.max(np.abs(t)),)
-
-    return _node(out, (w,), backward)
+def fq_weights(w: Tensor, k: int) -> Tensor:
+    """Fake-quantize a weight tensor at bit depth k inside the autodiff graph."""
+    return _fake_quant(w, weight_spec(k))
 
 
 def fq_activations(x: Tensor, k: int) -> Tensor:
     """Fake-quantize activations at bit depth k; gradient passes on [0, 1]."""
-    if k == REAL_BITS:
-        return x
-    xd = x.data
-    out = quantize_activations(xd, k).astype(xd.dtype, copy=False)
-
-    def backward(g):
-        return (ste_backward(g, xd, 0.0, 1.0),)
-
-    return _node(out, (x,), backward)
-
-
-def error_stats(w, spec: QuantSpec) -> QuantErrorStats:
-    """Quantization-error diagnostics eps = w - q(w) plus a level census."""
-    wd = w.data if isinstance(w, Tensor) else np.asarray(w)
-    wq = apply_quantizer(wd, spec)
-    eps = wd - wq
-    abs_eps = np.abs(eps)
-    values, counts = np.unique(wq, return_counts=True)
-    hist = {float(v): int(c) for v, c in zip(values, counts)}
-    return QuantErrorStats(
-        mean_abs_err=float(abs_eps.mean()),
-        max_abs_err=float(abs_eps.max()),
-        level_histogram=hist,
-    )
+    return _fake_quant(x, activation_spec(k))

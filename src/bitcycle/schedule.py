@@ -148,11 +148,10 @@ def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
         train = D.balanced_subset(train, cfg["data.train_per_class"], seed)
     if cfg["data.eval_per_class"] > 0:
         test = D.balanced_subset(test, cfg["data.eval_per_class"], seed)
-    if train.class_count != cfg["model.num_classes"]:
-        raise ConfigError(
-            f"model.num_classes is {cfg['model.num_classes']} but the training "
-            f"set has {train.class_count} classes"
-        )
+    for key, have, what in (("model.num_classes", train.class_count, "classes"),
+                            ("model.in_channels", train.images.shape[1], "channels")):
+        if have != cfg[key]:
+            raise ConfigError(f"{key} is {cfg[key]} but the training set has {have} {what}")
     return train, test
 
 

@@ -143,6 +143,9 @@ def test_typed_views():
     "data.flip_prob = 1.5",
     "schedule.target_k = 32",
     "schedule.start_bits = 1",
+    "model.in_channels = 0",
+    "data.train_per_class = -3",
+    "data.eval_per_class = -1",
 ])
 def test_semantic_validation(line):
     with pytest.raises(ConfigError):

@@ -161,10 +161,17 @@ def test_training_refuses_a_file_data_root(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("run.checkpoint_every", 0), ("data.eval_batch_size", -1)])
+@pytest.mark.parametrize("key,value", [
+    ("run.checkpoint_every", 0), ("data.eval_batch_size", -1), ("model.in_channels", 1),
+    ("data.synth_per_class", 0), ("data.synth_classes", 0), ("data.synth_size", 0),
+])
 def test_training_refuses_a_bad_value_before_touching_disk(tmp_path, key, value):
     out = tmp_path / "run"
-    with pytest.raises(ConfigError, match=key):
+    # make_synthetic takes the data.synth_* keys, and its message names its own parameter
+    error, match = {"data.synth_per_class": (ValueError, "per_class"),
+                    "data.synth_classes": (ValueError, "class_count"),
+                    "data.synth_size": (ValueError, "image_size")}.get(key, (ConfigError, key))
+    with pytest.raises(error, match=match):
         run_schedule(RunConfig(tiny_values(**{key: value, "run.out_dir": str(out)})))
     assert not out.exists()
 
