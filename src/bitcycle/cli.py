@@ -113,7 +113,7 @@ def _cmd_eval(args, threads: int) -> int:
     from .config import RunConfig
     from .data import Normalization
     from .metrics import METRICS_HEADER, MetricsRow, check_appendable
-    from .schedule import evaluate, load_datasets, model_from_checkpoint, pooled_weight_error
+    from .schedule import evaluate, load_split, model_from_checkpoint, pooled_weight_error
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     path = os.path.join(out_dir, "eval.csv")
@@ -124,19 +124,18 @@ def _cmd_eval(args, threads: int) -> int:
     model, cfg = model_from_checkpoint(ck)
     if args.data is not None:
         cfg = RunConfig({**cfg.values, "data.root": args.data})
-    _, test = load_datasets(cfg)
+    test = load_split(cfg, "test")
     norm = Normalization.from_dict(ck.metadata["normalization"])
     batch_size = cfg["data.batch_size"] if args.batch_size is None else args.batch_size
+    os.makedirs(out_dir, exist_ok=True)
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
     print(f"phase {ck.phase_index} ({ck.metadata.get('part', '?')}), "
-          f"bit depth {ck.metadata.get('bit_depth', '?')}, "
-          f"after {ck.metadata.get('iteration', '?')} iterations")
+          f"bit depth {model.cfg.bit_depth}, after {ck.metadata.get('iteration', '?')} iterations")
     print(f"top1={top1!r} top5={top5!r} loss={loss!r}")
 
     row = MetricsRow(
-        phase=ck.phase_index, part="eval",
-        bit_depth=int(ck.metadata.get("bit_depth", 0)),
+        phase=ck.phase_index, part="eval", bit_depth=model.cfg.bit_depth,
         epoch=ck.epochs_done, iteration=int(ck.metadata.get("iteration", 0)),
         lr=0.0, train_loss=loss, eval_top1=top1, eval_top5=top5,
         mean_abs_quant_error=pooled_weight_error(model),
@@ -149,7 +148,7 @@ def _cmd_eval(args, threads: int) -> int:
 
 
 def _cmd_expand(args, threads: int) -> int:
-    from .schedule import load_datasets, plan_phases
+    from .schedule import load_split, plan_phases
 
     cfg = _load_config(args, threads)
     phases = plan_phases(cfg)
@@ -157,8 +156,7 @@ def _cmd_expand(args, threads: int) -> int:
     per_epoch = None
     if cfg["data.format"] == "synthetic" or cfg.data_root():
         try:
-            train, _ = load_datasets(cfg)
-            per_epoch = len(train.labels) // cfg["data.batch_size"]
+            per_epoch = len(load_split(cfg, "train")) // cfg["data.batch_size"]
         except FileNotFoundError:
             pass
 

@@ -31,7 +31,6 @@ CIFAR100_RECORD = 3074  # coarse + fine label bytes + 3072 pixels
 class Dataset:
     images: np.ndarray   # uint8, (N, C, H, W)
     labels: np.ndarray   # int64, (N,)
-    split: str
     class_count: int
     name: str = ""
 
@@ -157,7 +156,6 @@ def load_cifar(path: str, split: str = "train") -> Dataset:
     return Dataset(
         images=np.concatenate(images),
         labels=np.concatenate(labels),
-        split=split,
         class_count=class_count,
         name=f"cifar-{class_count}",
     )
@@ -184,7 +182,7 @@ def read_idx(path: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str, split: str = "train") -> Dataset:
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image file (N x H x W or N x C x H x W) and its 1-d label file.
 
     The class count is one more than the largest label.
@@ -200,7 +198,7 @@ def load_idx(images_path: str, labels_path: str, split: str = "train") -> Datase
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
     class_count = int(labels.max()) + 1 if len(labels) else 0
-    return Dataset(images=images, labels=labels, split=split, class_count=class_count, name="idx")
+    return Dataset(images=images, labels=labels, class_count=class_count, name="idx")
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +267,7 @@ def balanced_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
             raise ValueError(f"class {c} has only {len(pool)} examples, need {per_class}")
         picks.append(rng.permutation(pool)[:per_class])
     idx = rng.permutation(np.concatenate(picks))
-    return Dataset(images=ds.images[idx], labels=ds.labels[idx], split=ds.split,
+    return Dataset(images=ds.images[idx], labels=ds.labels[idx],
                    class_count=ds.class_count, name=ds.name)
 
 
@@ -312,5 +310,5 @@ def make_synthetic(per_class: int, class_count: int = 8, image_size: int = 16,
             labels[i] = c
             i += 1
     order = rng.permutation(len(labels))
-    return Dataset(images=images[order], labels=labels[order], split=split,
+    return Dataset(images=images[order], labels=labels[order],
                    class_count=class_count, name="synthetic")

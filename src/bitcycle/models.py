@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .quantize import fq_activations, fq_weights
+from .quantize import REAL_BITS, fq_activations, fq_weights
 from .tensor import Tensor
 
 BLOCK_KINDS = ("type1", "type2")
@@ -35,7 +35,7 @@ class ModelConfig:
     blocks_per_stage: tuple[int, ...] = (2, 2, 2, 2)
     num_classes: int = 10
     stem: str = "cifar"
-    bit_depth: int = 32
+    bit_depth: int = REAL_BITS
     in_channels: int = 3
 
     def __post_init__(self):
@@ -54,13 +54,13 @@ class ModelConfig:
             raise ValueError("stage channels and block counts must be positive")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be at least 1, got {self.in_channels}")
-        if not 1 <= self.bit_depth <= 32:
-            raise ValueError(f"bit_depth must be in [1, 32], got {self.bit_depth}")
+        if not 1 <= self.bit_depth <= REAL_BITS:
+            raise ValueError(f"bit_depth must be in [1, {REAL_BITS}], got {self.bit_depth}")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
 
 
-def desk_config(bit_depth: int = 32, block_kind: str = "type2", num_classes: int = 10,
+def desk_config(bit_depth: int = REAL_BITS, block_kind: str = "type2", num_classes: int = 10,
                 in_channels: int = 3) -> ModelConfig:
     """Quarter-width model for desk-scale runs: stages (16, 32, 64, 128)."""
     return ModelConfig(
@@ -144,7 +144,7 @@ class QuantResNet:
 
     def quantized_weight_names(self) -> set[str]:
         """Weight tensors that pass through a quantization node in forward."""
-        if self.cfg.bit_depth == 32:
+        if self.cfg.bit_depth == REAL_BITS:
             return set()
         return set(self._quantized_weights)
 
@@ -164,9 +164,7 @@ class QuantResNet:
 
     def _qw(self, name: str, k: int) -> Tensor:
         w = self.params[name]
-        if k < 32 and name in self._quantized_weights:
-            return fq_weights(w, k)
-        return w
+        return fq_weights(w, k) if name in self._quantized_weights else w
 
     def forward(self, x: Tensor, training: bool = False, quant: bool | None = None) -> Tensor:
         """Map an image batch to class logits.
@@ -176,7 +174,7 @@ class QuantResNet:
         the k=32 identity contract).
         """
         cfg = self.cfg
-        k = 32 if quant is False else cfg.bit_depth
+        k = REAL_BITS if quant is False else cfg.bit_depth
         p = self.params
         if cfg.stem == "cifar":
             h = nn.conv2d(x, p["conv1.weight"], stride=1, padding=1)
@@ -198,13 +196,11 @@ class QuantResNet:
 
     def _block(self, x: Tensor, prefix: str, stride: int, has_down: bool, training: bool,
                k: int, quantize_input: bool) -> Tensor:
-        def qa(t: Tensor) -> Tensor:
-            return fq_activations(t, k) if k < 32 else t
-
-        h_in = qa(x) if quantize_input else x
+        h_in = fq_activations(x, k) if quantize_input else x
         h = nn.conv2d(h_in, self._qw(f"{prefix}.conv1.weight", k), stride=stride, padding=1)
         h = self._bn(h, f"{prefix}.bn1", training)
-        h = nn.conv2d(qa(h), self._qw(f"{prefix}.conv2.weight", k), stride=1, padding=1)
+        h = nn.conv2d(fq_activations(h, k), self._qw(f"{prefix}.conv2.weight", k),
+                      stride=1, padding=1)
         h = self._bn(h, f"{prefix}.bn2", training)
         if not has_down:
             return h + x

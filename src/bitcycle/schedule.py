@@ -110,24 +110,23 @@ def plan_phases(cfg: RunConfig) -> list[Phase]:
 # ----------------------------------------------------------------------
 # data plumbing
 
-def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
-    """Resolve the train and eval datasets named by the config."""
+# split -> (images file, labels file) under data.root, for data.format = idx
+_IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+              "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
+
+
+def load_split(cfg: RunConfig, split: str) -> D.Dataset:
+    """Load one split, "train" or "test", of the configured corpus; it must fit the model."""
     fmt = cfg["data.format"]
     seed = cfg["run.seed"]
     if fmt == "synthetic":
-        train = D.make_synthetic(
-            per_class=cfg["data.synth_per_class"],
+        per_class = cfg["data.synth_per_class"]
+        ds = D.make_synthetic(
+            per_class=per_class if split == "train" else max(8, per_class // 4),
             class_count=cfg["data.synth_classes"],
             image_size=cfg["data.synth_size"],
             seed=seed,
-            split="train",
-        )
-        test = D.make_synthetic(
-            per_class=max(8, cfg["data.synth_per_class"] // 4),
-            class_count=cfg["data.synth_classes"],
-            image_size=cfg["data.synth_size"],
-            seed=seed,
-            split="test",
+            split=split,
         )
     else:
         root = cfg.data_root()
@@ -137,22 +136,25 @@ def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
                 "BITCYCLE_DATA environment variable"
             )
         if fmt == "cifar":
-            train = D.load_cifar(root, split="train")
-            test = D.load_cifar(root, split="test")
+            ds = D.load_cifar(root, split)
         else:
-            train = D.load_idx(os.path.join(root, "train-images-idx3-ubyte"),
-                               os.path.join(root, "train-labels-idx1-ubyte"), split="train")
-            test = D.load_idx(os.path.join(root, "t10k-images-idx3-ubyte"),
-                              os.path.join(root, "t10k-labels-idx1-ubyte"), split="test")
-    if cfg["data.train_per_class"] > 0:
-        train = D.balanced_subset(train, cfg["data.train_per_class"], seed)
-    if cfg["data.eval_per_class"] > 0:
-        test = D.balanced_subset(test, cfg["data.eval_per_class"], seed)
-    for key, have, what in (("model.num_classes", train.class_count, "classes"),
-                            ("model.in_channels", train.images.shape[1], "channels")):
+            ds = D.load_idx(*(os.path.join(root, name) for name in _IDX_FILES[split]))
+    subset = cfg["data.train_per_class" if split == "train" else "data.eval_per_class"]
+    if subset > 0:
+        ds = D.balanced_subset(ds, subset, seed)
+    for key, have, what in (("model.num_classes", ds.class_count, "classes"),
+                            ("model.in_channels", ds.images.shape[1], "channels")):
         if have != cfg[key]:
-            raise ConfigError(f"{key} is {cfg[key]} but the training set has {have} {what}")
-    return train, test
+            raise ConfigError(f"{key} is {cfg[key]} but the {split} split has {have} {what}")
+    return ds
+
+
+def load_datasets(cfg: RunConfig) -> tuple[D.Dataset, D.Dataset]:
+    """The train and eval splits of a training run, which refuses a file data.root."""
+    if cfg["data.format"] != "synthetic" and os.path.isfile(cfg.data_root()):
+        raise ConfigError(f"data.root {cfg.data_root()!r} is a file, which would serve as both "
+                          "the train and the eval split; set it to the directory that holds them")
+    return load_split(cfg, "train"), load_split(cfg, "test")
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +268,6 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     after the hand-off and before the phase's first batch; it sees the
     exact weights the phase starts from.
     """
-    if cfg["data.format"] != "synthetic" and os.path.isfile(cfg.data_root()):
-        raise ConfigError(f"data.root {cfg.data_root()!r} is a file, which would serve as both "
-                          "the train and the eval split; set it to the directory that holds them")
     out_dir = cfg["run.out_dir"]
     seed = cfg["run.seed"]
     phases = plan_phases(cfg)

@@ -1,14 +1,18 @@
 import os
 import re
+import shutil
 import subprocess
 import sys
 from argparse import Namespace
 
+import numpy as np
 import pytest
 
 import bitcycle
 from bitcycle.cli import _scan_threads, main
 from bitcycle.metrics import read_metrics
+
+from test_data import write_cifar10_file
 
 TINY = """
 model.stage_channels = 4, 8
@@ -133,6 +137,60 @@ def test_eval_matches_last_row(tiny_cfg, tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0].part == "eval"
     assert rows[0].eval_top1 == last.eval_top1
+
+
+def test_eval_creates_its_out_directory(tiny_cfg, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", run, "--quiet"]) == 0
+    out = tmp_path / "new" / "dir"
+    assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint.bin"),
+                 "--out", str(out)]) == 0
+    assert len(read_metrics(str(out / "eval.csv"))) == 1
+
+
+CIFAR_TRAIN = [f"data_batch_{i}.bin" for i in range(1, 6)]
+
+
+def write_cifar_files(root, names, per_file=10, seed=0):
+    """CIFAR-10 files of per_file random records each, labels cycling through 0..9."""
+    rng = np.random.default_rng(seed)
+    root.mkdir(exist_ok=True)
+    for name in names:
+        write_cifar10_file(root / name, [(i % 10, rng.integers(0, 256, 3072, dtype=np.uint8))
+                                         for i in range(per_file)])
+
+
+def cifar_cfg(tmp_path, root):
+    path = tmp_path / "cifar.cfg"
+    path.write_text("model.stage_channels = 4, 8\nmodel.blocks_per_stage = 1, 1\n"
+                    f"data.format = cifar\ndata.root = {root}\ndata.batch_size = 10\n"
+                    "schedule.mode = single\nschedule.bit_depth = 2\nschedule.epochs = 1\n")
+    return str(path)
+
+
+def test_eval_reads_only_the_eval_split(tmp_path, capsys):
+    full = tmp_path / "full"
+    write_cifar_files(full, CIFAR_TRAIN + ["test_batch.bin"])
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", cifar_cfg(tmp_path, full), "--out", run, "--quiet"]) == 0
+    only_test = tmp_path / "only_test"
+    only_test.mkdir()
+    shutil.copyfile(full / "test_batch.bin", only_test / "test_batch.bin")
+    scores = []
+    for root in (full, only_test):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint.bin"),
+                     "--data", str(root)]) == 0
+        scores.append(re.search(r"top1=\S+ top5=\S+", capsys.readouterr().out).group())
+    assert scores[0] == scores[1]
+
+
+def test_expand_counts_iterations_from_the_training_files_alone(tmp_path, capsys):
+    root = tmp_path / "only_train"
+    write_cifar_files(root, CIFAR_TRAIN)
+    assert main(["expand", "--config", cifar_cfg(tmp_path, root)]) == 0
+    # 5 files of 10 records at batch size 10
+    assert capsys.readouterr().out.splitlines()[-1] == "1 phases, 1 epochs, 5 iterations"
 
 
 def test_eval_batch_size_invariant(tiny_cfg, tmp_path, capsys):

@@ -182,7 +182,6 @@ def small_dataset(n=40, classes=4, size=8, seed=0):
     return Dataset(
         images=rng.integers(0, 256, (n, 3, size, size), dtype=np.uint8),
         labels=rng.integers(0, classes, n).astype(np.int64),
-        split="train",
         class_count=classes,
     )
 
@@ -219,7 +218,7 @@ class TestBatching:
 
     def test_fifty_thousand_over_512_gives_97(self):
         ds = Dataset(images=np.zeros((50_000, 1, 2, 2), dtype=np.uint8),
-                     labels=np.zeros(50_000, dtype=np.int64), split="train", class_count=10)
+                     labels=np.zeros(50_000, dtype=np.int64), class_count=10)
         assert sum(1 for _ in batches(ds, 512, seed=0, epoch=0)) == 97
 
     def test_shuffle_is_a_permutation(self):
@@ -309,4 +308,4 @@ class TestSubsetsAndSynthetic:
     def test_dataset_label_validation(self):
         with pytest.raises(ValueError, match="labels must lie"):
             Dataset(images=np.zeros((2, 1, 2, 2), np.uint8),
-                    labels=np.array([0, 5]), split="train", class_count=3)
+                    labels=np.array([0, 5]), class_count=3)

@@ -25,6 +25,7 @@ from bitcycle.schedule import (
 from bitcycle.tensor import Tensor
 
 from oracle_schedule import literal_plan
+from test_data import write_idx
 
 _BUDGET_FIELD = {"T_s": "soft_epochs", "T_c": "cyclic_epochs", "T_f": "final_epochs"}
 
@@ -181,6 +182,27 @@ def test_load_datasets_train_subset():
     train, _ = load_datasets(cfg)
     assert len(train.labels) == 8
     assert all((train.labels == c).sum() == 2 for c in range(4))
+
+
+def test_load_datasets_idx(tmp_path):
+    rng = np.random.default_rng(0)
+    for prefix, n, classes in (("train", 30, 3), ("t10k", 12, 3), ("bad", 12, 2)):
+        write_idx(tmp_path / f"{prefix}-images-idx3-ubyte", rng.integers(0, 256, (n, 6, 6)))
+        write_idx(tmp_path / f"{prefix}-labels-idx1-ubyte", np.arange(n) % classes)
+    values = tiny_values(**{"data.format": "idx", "data.root": str(tmp_path),
+                            "model.num_classes": 3, "model.in_channels": 1,
+                            "data.eval_per_class": 2})
+    train, test = load_datasets(RunConfig(values))
+    assert (len(train), len(test)) == (30, 6)
+    assert train.images.shape[1:] == test.images.shape[1:] == (1, 6, 6)
+    assert train.class_count == test.class_count == 3
+    with pytest.raises(ConfigError, match="num_classes is 4 but the train split has 3 classes"):
+        load_datasets(RunConfig({**values, "model.num_classes": 4}))
+    # the check runs on each split: an eval split with fewer classes is refused too
+    for name in ("images-idx3-ubyte", "labels-idx1-ubyte"):
+        shutil.copyfile(tmp_path / f"bad-{name}", tmp_path / f"t10k-{name}")
+    with pytest.raises(ConfigError, match="num_classes is 3 but the test split has 2 classes"):
+        load_datasets(RunConfig(values))
 
 
 def test_evaluate_batch_size_invariant():
