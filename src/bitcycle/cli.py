@@ -127,7 +127,6 @@ def _cmd_eval(args, threads: int) -> int:
     test = load_split(cfg, "test")
     norm = Normalization.from_dict(ck.metadata["normalization"])
     batch_size = cfg["data.batch_size"] if args.batch_size is None else args.batch_size
-    os.makedirs(out_dir, exist_ok=True)
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
     print(f"phase {ck.phase_index} ({ck.metadata.get('part', '?')}), "
@@ -140,6 +139,7 @@ def _cmd_eval(args, threads: int) -> int:
         lr=0.0, train_loss=loss, eval_top1=top1, eval_top5=top5,
         mean_abs_quant_error=pooled_weight_error(model),
     )
+    os.makedirs(out_dir, exist_ok=True)
     with open(path, "a", newline="") as f:
         if fresh:
             f.write(METRICS_HEADER + "\n")

@@ -3,9 +3,17 @@
 The entry points take NCHW activations and OIHW convolution weights.
 Inside, convolution runs on a zero-padded channel-last copy of the input,
 split into stride phases, with one GEMM per kernel tap: each tap reads one
-contiguous row range of its phase, so no column matrix is built. Backward
-rebuilds the padded copy instead of keeping it alive, trading a little
-compute for a smaller peak footprint.
+contiguous row range of its phase, so no column matrix is built. Forward
+walks the output rows in blocks of ``BLOCK_ELEMS // max(c, o)`` rows and
+runs every tap on a block before moving on, so the block's input and
+accumulator rows stay in cache. Each output element still adds its taps in
+tap order, so the sums are those of one full-height GEMM per tap. The input
+gradient is a gather over the same blocks: each block of phase rows sums,
+from zero and in tap order, the output-gradient rows its taps read, which
+is what one full-height scatter per tap adds. The weight gradient stays one
+full-height GEMM per tap. An input that needs no gradient, such as the
+image batch, gets none computed. Backward rebuilds the padded copy instead
+of keeping it alive, trading a little compute for a smaller peak footprint.
 
 Batch norm works on the channel-last (rows, c) view of its input, which is
 free for conv outputs: each per-channel sum is one matrix-vector product
@@ -19,6 +27,10 @@ import numpy as np
 
 from .tensor import Tensor, _as_tensor, _node
 
+# Convolution walks its output rows in blocks of BLOCK_ELEMS // max(c, o)
+# rows, so one block's input, accumulator and gradient rows stay in cache.
+BLOCK_ELEMS = 32768
+
 
 def _padded_phases(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
                    na: int, nb: int) -> np.ndarray:
@@ -27,14 +39,32 @@ def _padded_phases(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
     Returns an (na, nb, n*hq*wq, c) array. Row (image, q, r) of phase (a, b)
     holds padded pixel (q*stride + a, r*stride + b), so kernel tap (i, j)
     reads one contiguous row range of phase (i % stride, j % stride). Only
-    the phases some tap reads (a < na, b < nb) are kept.
+    the phases some tap reads (a < na, b < nb) are built, each filled from
+    one strided slice of the input.
     """
     n, c, h, w = xd.shape
     s, p = stride, padding
-    padded = np.zeros((n, hq * s, wq * s, c), dtype=xd.dtype)
-    padded[:, p : p + h, p : p + w] = xd.transpose(0, 2, 3, 1)
-    grid = padded.reshape(n, hq, s, wq, s, c)[:, :, :na, :, :nb]
-    return grid.transpose(2, 4, 0, 1, 3, 5).reshape(na, nb, n * hq * wq, c)
+    ph = np.zeros((na, nb, n, hq, wq, c), dtype=xd.dtype)
+    xl = xd.transpose(0, 2, 3, 1)
+    for a in range(na):
+        q0 = -(-max(p - a, 0) // s)  # first phase row inside the image
+        for b in range(nb):
+            r0 = -(-max(p - b, 0) // s)
+            v = xl[:, q0 * s + a - p :: s, r0 * s + b - p :: s]
+            ph[a, b, :, q0 : q0 + v.shape[1], r0 : r0 + v.shape[2]] = v
+    return ph.reshape(na, nb, n * hq * wq, c)
+
+
+def _row_blocks(rows: int, blk: int, margin: int):
+    """(start, stop) ranges that split rows into blocks of about blk rows.
+
+    Inner edges sit at least margin + blk rows from either end, so a tap
+    that shifts a block by up to margin rows still multiplies at least blk
+    rows. A BLAS may round a short GEMM with another kernel than a tall one,
+    and a short piece would then change sums the full-height GEMM gives.
+    """
+    edges = [0, *range(margin + blk, rows - margin - blk + 1, blk), rows]
+    return list(zip(edges, edges[1:]))
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
@@ -60,10 +90,16 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
 
+    blocks = _row_blocks(rows, max(1, BLOCK_ELEMS // max(c, o)), taps[-1][2])
+    need_dx = x.requires_grad or x._backward is not None
+
     ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
-    acc = ph[0, 0] @ wk[0]
-    for t, (a, b, off) in enumerate(taps[1:], 1):
-        acc[: rows - off] += ph[a, b, off:] @ wk[t]
+    acc = np.empty((rows, o), dtype=np.result_type(xd, wd))
+    for r0, r1 in blocks:
+        np.matmul(ph[0, 0, r0:r1], wk[0], out=acc[r0:r1])
+        for t, (a, b, off) in enumerate(taps[1:], 1):
+            e = min(r1, rows - off)
+            acc[r0:e] += ph[a, b, r0 + off : e + off] @ wk[t]
     del ph
     # a compact copy of the valid corner, so the output does not pin the grid
     out = np.ascontiguousarray(acc.reshape(n, hq, wq, o)[:, :oh, :ow]).transpose(0, 3, 1, 2)
@@ -73,17 +109,25 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         gf[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
         gf = gf.reshape(rows, o)
         ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
-        dph = np.zeros(ph.shape, dtype=np.result_type(g, wd))
         dwk = np.empty((kh * kw, o, c), dtype=np.result_type(g, xd))
         for t, (a, b, off) in enumerate(taps):
             dwk[t] = gf[: rows - off].T @ ph[a, b, off:]
-            dph[a, b, off:] += gf[: rows - off] @ wk[t].T
         del ph
+        dw = dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+        if not need_dx:
+            return None, dw
+        # dx as a gather: each block of phase rows sums its taps in tap
+        # order from zero, as one full-height scatter per tap would
+        dph = np.zeros((na, nb, rows, c), dtype=np.result_type(g, wd))
+        for r0, r1 in blocks:
+            for t, (a, b, off) in enumerate(taps):
+                lo = max(r0, off)
+                dph[a, b, lo:r1] += gf[lo - off : r1 - off] @ wk[t].T
         dpad = np.zeros((n, hq * s, wq * s, c), dtype=dph.dtype)
         dgrid = dpad.reshape(n, hq, s, wq, s, c)[:, :, :na, :, :nb]
         dgrid[...] = dph.reshape(na, nb, n, hq, wq, c).transpose(2, 3, 0, 4, 1, 5)
         dx = dpad[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
-        return dx, dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+        return dx, dw
 
     return _node(out, (x, weight), backward)
 

@@ -81,8 +81,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ops may hand one array to several parents, or a view
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode accumulation from this tensor.

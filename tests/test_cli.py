@@ -220,6 +220,15 @@ def test_eval_refuses_a_batch_size_below_one(tiny_cfg, tmp_path, capsys, batch_s
         assert f.read() == before
 
 
+def test_eval_refusing_its_batch_size_makes_no_out_directory(tiny_cfg, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", run, "--quiet"]) == 0
+    out = tmp_path / "new"
+    assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint.bin"),
+                 "--out", str(out), "--batch-size", "0"]) == 1
+    assert not out.exists()
+
+
 def test_expand_reports_a_malformed_corpus(tmp_path, capsys):
     root = tmp_path / "corpus"
     root.mkdir()

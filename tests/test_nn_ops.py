@@ -1,10 +1,12 @@
 """Network ops: convolution, batch norm, pooling, cross-entropy."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from bitcycle import nn
 from bitcycle.nn import (
     avg_pool2d,
     batch_norm,
@@ -105,6 +107,72 @@ class TestConv2d:
             x = rng.standard_normal((2, 3, size, size))
             w = rng.standard_normal((4, 3, k, k))
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
+
+    @staticmethod
+    def _blocked_runs(monkeypatch, x, w, stride, pad, block_elems):
+        """Output, dx, dw and the row blocks conv2d used, per BLOCK_ELEMS value."""
+        real = nn._row_blocks
+        runs = []
+        for elems in block_elems:
+            used = []
+            monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
+            monkeypatch.setattr(nn, "_row_blocks", lambda *a: used.append(real(*a)) or used[-1])
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv2d(xt, wt, stride=stride, padding=pad)
+            out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(x.dtype))
+            runs.append(((out.data, xt.grad, wt.grad), used[0]))
+        return runs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_keep_every_sum(self, monkeypatch, dtype):
+        # blocks only regroup the rows of each tap's GEMM, and every element
+        # keeps its tap order, so a multi-block split is bit-identical to one
+        # block (which makes the GEMM calls of a full-height conv). Widths
+        # stay under 32: OpenBLAS's small-matrix kernel for a transposed
+        # operand (inner dimension >= 32, under 1200 outputs) rounds dx
+        # differently. The shipped BLOCK_ELEMS never makes blocks that
+        # small; the next test checks it at desk widths.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 8, 17, 16)).astype(dtype)
+        for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1)):
+            w = rng.standard_normal((16, 8, k, k)).astype(dtype)
+            (split, blocks), (whole, one) = self._blocked_runs(monkeypatch, x, w, stride, pad,
+                                                                (37 * 16, 10**9))
+            assert len(one) == 1
+            assert len(blocks) >= 2 and len({r1 - r0 for r0, r1 in blocks}) > 1
+            for a, b in zip(split, whole):
+                np.testing.assert_array_equal(a, b, err_msg=f"k={k} stride={stride} pad={pad}")
+
+    def test_shipped_block_size_is_exact_at_desk_widths(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        shipped = nn.BLOCK_ELEMS
+        # (batch, c, o, size, kernel, stride, padding) of desk-model convs
+        for n, c, o, size, k, stride, pad in ((8, 16, 16, 32, 3, 1, 1), (8, 16, 32, 32, 3, 2, 1),
+                                              (16, 128, 128, 4, 3, 1, 1), (64, 64, 128, 8, 1, 2, 0)):
+            x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+            w = rng.standard_normal((o, c, k, k)).astype(np.float32)
+            (split, blocks), (whole, _) = self._blocked_runs(monkeypatch, x, w, stride, pad,
+                                                             (shipped, 10**12))
+            assert len(blocks) >= 2
+            for a, b in zip(split, whole):
+                np.testing.assert_array_equal(a, b, err_msg=f"{c}->{o} k={k} stride={stride}")
+
+    def test_input_without_grad_gets_no_dx(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((2, 3, 7, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+        g = rng.standard_normal((2, 4, 7, 6))
+        wt = Tensor(w, requires_grad=True)
+        out = conv2d(Tensor(x), wt, padding=1)
+        assert out._backward(g)[0] is None
+        out.backward(g)
+        xt, w2 = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        conv2d(xt, w2, padding=1).backward(g)
+        np.testing.assert_array_equal(wt.grad, w2.grad)
+        # an input that is an op's output needs dx without requires_grad
+        leaf = Tensor(x, requires_grad=True)
+        conv2d(leaf * 1.0, Tensor(w), padding=1).backward(g)
+        np.testing.assert_array_equal(leaf.grad, xt.grad)
 
 
 def _naive_conv(x, w, stride, pad):

@@ -58,6 +58,27 @@ class TestBasics:
         tsum(x).backward()
         assert x.grad.shape == x.data.shape
 
+    def test_leaf_grads_are_private_copies(self):
+        # add hands one array to both parents and reshape hands up a view,
+        # so a grad that kept the array it was given would alias another
+        seed = np.arange(6.0).reshape(2, 3)
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        (x + x).backward(seed)
+        np.testing.assert_array_equal(x.grad, 2 * seed)
+        np.testing.assert_array_equal(seed, np.arange(6.0).reshape(2, 3))
+
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        c = Tensor(np.ones(6), requires_grad=True)
+        (a + b + reshape(reshape(c, 3, 2), 2, 3)).backward(seed)
+        grads = [a.grad, b.grad, c.grad, seed]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
+        a.grad += 100.0
+        c.grad[0] = -1.0
+        np.testing.assert_array_equal(b.grad, seed)
+        np.testing.assert_array_equal(seed, np.arange(6.0).reshape(2, 3))
+
 
 class TestBroadcasting:
     def test_bias_like_add_reduces_grad(self):
