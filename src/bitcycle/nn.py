@@ -7,18 +7,23 @@ contiguous row range of its phase, so no column matrix is built. Forward
 walks the output rows in blocks of ``BLOCK_ELEMS // max(c, o)`` rows and
 runs every tap on a block before moving on, so the block's input and
 accumulator rows stay in cache. Each output element still adds its taps in
-tap order, so the sums are those of one full-height GEMM per tap. The input
-gradient is a gather over the same blocks: each block of phase rows sums,
-from zero and in tap order, the output-gradient rows its taps read, which
-is what one full-height scatter per tap adds. The weight gradient stays one
-full-height GEMM per tap. An input that needs no gradient, such as the
-image batch, gets none computed. Backward rebuilds the padded copy instead
-of keeping it alive, trading a little compute for a smaller peak footprint.
+tap order, so the sums are those of one full-height GEMM per tap as long
+as the BLAS rounds a row alike at any GEMM height. Blocks never fall under
+``1200 // min(c, o) + 1`` rows, below which OpenBLAS's small-matrix kernels
+do not. The input gradient is a gather over the same blocks: each block of
+phase rows sums, from zero and in tap order, the output-gradient rows its
+taps read, which is what one full-height scatter per tap adds. The weight
+gradient stays one full-height GEMM per tap. An input that needs no
+gradient, such as the image batch, gets none computed. Backward rebuilds
+the padded copy instead of keeping it alive, trading a little compute for a
+smaller peak footprint.
 
 Batch norm works on the channel-last (rows, c) view of its input, which is
 free for conv outputs: each per-channel sum is one matrix-vector product
 with a ones vector, and forward and backward each fold into a per-channel
-scale and shift.
+scale and shift. Its elementwise passes run on the (n*h, w*c) view of the
+same memory against per-channel vectors tiled w times, so each inner loop
+covers a whole image row rather than c elements.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import numpy as np
 from .tensor import Tensor, _as_tensor, _node
 
 # Convolution walks its output rows in blocks of BLOCK_ELEMS // max(c, o)
-# rows, so one block's input, accumulator and gradient rows stay in cache.
+# rows, so one block's input, accumulator and gradient rows stay in cache,
+# but of no fewer than 1200 // min(c, o) + 1 rows (see the module docstring).
 BLOCK_ELEMS = 32768
 
 
@@ -90,7 +96,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
 
-    blocks = _row_blocks(rows, max(1, BLOCK_ELEMS // max(c, o)), taps[-1][2])
+    blocks = _row_blocks(rows, max(BLOCK_ELEMS // max(c, o), 1200 // min(c, o) + 1), taps[-1][2])
     need_dx = x.requires_grad or x._backward is not None
 
     ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
@@ -161,9 +167,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
 
     Both modes work on the (rows, c) row view of the input, which costs no
     copy for the channel-last memory conv2d returns. Every per-channel sum
-    is a matrix-vector product, the output is ``x * a + b`` with the
-    per-channel scale ``a = gamma / std`` and shift ``b = beta - mean * a``,
-    and backward recomputes the normalized input rather than keeping it.
+    is a matrix-vector product on that view. Every per-channel elementwise
+    pass runs on the (n*h, w*c) view of the same memory against the
+    per-channel vector tiled w times (w = 1 for NC input), so numpy's inner
+    loop spans a whole image row instead of c elements. The output is
+    ``x * a + b`` with the per-channel scale ``a = gamma / std`` and shift
+    ``b = beta - mean * a``, and backward recomputes the normalized input
+    rather than keeping it.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
@@ -172,19 +182,25 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         raise ValueError(f"batch_norm affine params must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}")
     to_last, from_last = ((0, 1), (0, 1)) if xd.ndim == 2 else ((0, 2, 3, 1), (0, 3, 1, 2))
     last_shape = xd.transpose(to_last).shape
+    wc = c if xd.ndim == 2 else last_shape[2] * c
+    channel = np.arange(wc) % c  # the channel of each column of a wide row
 
     def rows(a):
         # NCHW or NC as (rows, c); a view unless a is not channel-last
         return a.transpose(to_last).reshape(-1, c)
+
+    def wide(a2):
+        # (rows, c) as (n*h, w*c); a view of contiguous rows
+        return a2.reshape(-1, wc)
 
     x2 = rows(xd)
     n = x2.shape[0]
 
     if training:
         mean = _channel_sums(x2) / n
-        d = x2 - mean
+        d = wide(x2) - mean[channel]
         np.square(d, out=d)
-        var = _channel_sums(d) / n
+        var = _channel_sums(d.reshape(-1, c)) / n
         del d  # free it before the output is made
         rm, rv = running_mean.data, running_var.data
         rm *= 1.0 - momentum
@@ -192,25 +208,26 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         rv *= 1.0 - momentum
         rv += momentum * var * (n / max(n - 1, 1))
     else:
-        # a copy, so backward sees the statistics this forward used
-        mean, var = running_mean.data.copy(), running_var.data
+        mean, var = running_mean.data, running_var.data
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
-    out = x2 * a
-    out += beta.data - mean * a
+    # tiled copies, so backward also sees the statistics this forward used
+    mean_w, inv_w, a_w = mean[channel], inv[channel], a[channel]
+    out = wide(x2) * a_w
+    out += (beta.data - mean * a)[channel]
 
     def backward(g):
         g2 = rows(g)
-        xhat = rows(xd) - mean
-        xhat *= inv
+        xhat = wide(rows(xd)) - mean_w
+        xhat *= inv_w
         dbeta = _channel_sums(g2)
-        dx = g2 * xhat
-        dgamma = _channel_sums(dx)
-        np.multiply(g2, a, out=dx)
+        dx = wide(g2) * xhat
+        dgamma = _channel_sums(dx.reshape(-1, c))
+        np.multiply(wide(g2), a_w, out=dx)
         if training:
-            xhat *= a * dgamma / n
+            xhat *= (a * dgamma / n)[channel]
             dx -= xhat
-            dx -= a * dbeta / n
+            dx -= (a * dbeta / n)[channel]
         return dx.reshape(last_shape).transpose(from_last), dgamma, dbeta
 
     return _node(out.reshape(last_shape).transpose(from_last), (x, gamma, beta), backward)
@@ -265,11 +282,12 @@ def avg_pool2d(x, window: int) -> Tensor:
     scale = 1.0 / (kh * kw)
 
     def backward(g):
+        # one add into a view of the windows (splitting axes never copies);
+        # zeros plus the add turn a -0.0 gradient into +0.0, and rows and
+        # columns no window covers stay zero
         dx = np.zeros_like(xd)
-        gs = g * scale
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += gs
+        tiles = dx[:, :, : oh * kh, : ow * kw].reshape(n, c, oh, kh, ow, kw)
+        tiles += (g * scale)[:, :, :, None, :, None]
         return (dx,)
 
     return _node(out, (x,), backward)

@@ -91,7 +91,11 @@ class Tensor:
 
         Without an explicit seed the tensor must be scalar. Every node in
         the recorded graph is visited exactly once, in reverse topological
-        order, and gradients accumulate into each participating tensor.
+        order. Leaves accumulate their gradient into ``grad`` across calls.
+        An interior node (one with a backward closure, this tensor included)
+        drops its ``grad`` once its parents have received theirs, so the
+        walk holds no more gradients than it must and a second call on the
+        same graph adds exactly one more pass to the leaves.
         """
         if grad is None:
             if self.data.size != 1:
@@ -130,6 +134,7 @@ class Tensor:
                     continue
                 if parent.requires_grad or parent._backward is not None:
                     parent._accumulate(g)
+            node.grad = None
 
     # ------------------------------------------------------------------
     # operators

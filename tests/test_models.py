@@ -185,6 +185,45 @@ class TestGradientFlow:
                 break
         assert not dead, f"dead parameters at k={bit_depth}: {dead}"
 
+    @staticmethod
+    def _grads_without_release(root):
+        """Every node's gradient by a walk that keeps them all, keyed by id."""
+        order, seen, stack = [], set(), [(root, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents if id(p) not in seen)
+        grads = {id(root): np.ones_like(root.data)}
+        for node in reversed(order):
+            if node._backward is None or id(node) not in grads:
+                continue
+            for parent, g in zip(node._parents, node._backward(grads[id(node)])):
+                if g is None or not (parent.requires_grad or parent._backward is not None):
+                    continue
+                if id(parent) in grads:
+                    grads[id(parent)] += g
+                else:
+                    grads[id(parent)] = np.array(g, dtype=parent.data.dtype)
+        return grads, order
+
+    @pytest.mark.parametrize("bit_depth", [1, 32])
+    def test_backward_keeps_only_leaf_grads(self, bit_depth):
+        from bitcycle.nn import softmax_cross_entropy
+
+        model = build_model(tiny_config(bit_depth=bit_depth), np.random.default_rng(3))
+        labels = np.random.default_rng(4).integers(0, 4, size=4)
+        loss = softmax_cross_entropy(model.forward(rand_images(4, 3, 16, seed=5), training=True), labels)
+        kept, order = self._grads_without_release(loss)
+        loss.backward()
+        interior = [t for t in order if t._backward is not None]
+        assert len(interior) > 10 and all(t.grad is None for t in interior)
+        for name, p in model.trainable():
+            assert p.grad is not None and np.array_equal(p.grad, kept[id(p)]), name
+
 
 class TestTransfer:
     def test_roundtrip_bit_exact(self):

@@ -127,17 +127,17 @@ class TestConv2d:
     def test_row_blocks_keep_every_sum(self, monkeypatch, dtype):
         # blocks only regroup the rows of each tap's GEMM, and every element
         # keeps its tap order, so a multi-block split is bit-identical to one
-        # block (which makes the GEMM calls of a full-height conv). Widths
-        # stay under 32: OpenBLAS's small-matrix kernel for a transposed
-        # operand (inner dimension >= 32, under 1200 outputs) rounds dx
-        # differently. The shipped BLOCK_ELEMS never makes blocks that
-        # small; the next test checks it at desk widths.
+        # block (which makes the GEMM calls of a full-height conv).
+        # BLOCK_ELEMS = 1 leaves the blocks at the floor of 1200 // min(c, o)
+        # + 1 rows. Widths stay under 32: OpenBLAS's small-matrix kernel for
+        # a transposed operand (inner dimension >= 32, under 1200 outputs)
+        # rounds dx differently; test_block_floor_is_exact covers that case.
         rng = np.random.default_rng(15)
-        x = rng.standard_normal((2, 8, 17, 16)).astype(dtype)
+        x = rng.standard_normal((2, 8, 33, 32)).astype(dtype)
         for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1)):
             w = rng.standard_normal((16, 8, k, k)).astype(dtype)
             (split, blocks), (whole, one) = self._blocked_runs(monkeypatch, x, w, stride, pad,
-                                                                (37 * 16, 10**9))
+                                                                (1, 10**9))
             assert len(one) == 1
             assert len(blocks) >= 2 and len({r1 - r0 for r0, r1 in blocks}) > 1
             for a, b in zip(split, whole):
@@ -156,6 +156,22 @@ class TestConv2d:
             assert len(blocks) >= 2
             for a, b in zip(split, whole):
                 np.testing.assert_array_equal(a, b, err_msg=f"{c}->{o} k={k} stride={stride}")
+
+    @pytest.mark.parametrize("c, o", [(2, 64), (4, 128)])
+    def test_block_floor_is_exact(self, monkeypatch, c, o):
+        # BLOCK_ELEMS // o rows alone gives blocks of under 1200 // c rows
+        # here, where OpenBLAS's small-matrix kernel rounds dx unlike one
+        # full-height GEMM; the floor of 1200 // min(c, o) + 1 rows keeps
+        # them out of it. c = 1 still differs with the floor, because numpy
+        # sends a product with one output column down a matrix-vector path.
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((8, c, 16, 16)).astype(np.float32)
+        w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
+        (split, blocks), (whole, _) = self._blocked_runs(monkeypatch, x, w, 1, 1,
+                                                         (nn.BLOCK_ELEMS, 10**12))
+        assert len(blocks) >= 2
+        for a, b in zip(split, whole):
+            np.testing.assert_array_equal(a, b)
 
     def test_input_without_grad_gets_no_dx(self):
         rng = np.random.default_rng(18)
@@ -360,6 +376,20 @@ class TestPooling:
         x = rng.standard_normal((2, 3, 4, 4))
         gradcheck(lambda t: avg_pool2d(t, 2), [x])
         gradcheck(lambda t: avg_pool2d(t, 4), [x])  # global
+
+    def test_avg_pool_window_not_dividing_input(self):
+        # 7x7 in windows of 3: row 6 and column 6 lie in no window
+        x = np.random.default_rng(13).standard_normal((2, 3, 7, 7))
+        gradcheck(lambda t: avg_pool2d(t, 3), [x])
+        xt = Tensor(x, requires_grad=True)
+        out = avg_pool2d(xt, 3)
+        seed = np.ones(out.shape)
+        seed[0, 0, 0, 0] = -0.0
+        out.backward(seed)
+        np.testing.assert_array_equal(xt.grad[:, :, 6, :], 0.0)
+        np.testing.assert_array_equal(xt.grad[:, :, :, 6], 0.0)
+        np.testing.assert_array_equal(xt.grad[:, :, :6, :6], 1.0 / 9.0 * (seed != 0).repeat(3, 2).repeat(3, 3))
+        assert not np.signbit(xt.grad).any()  # a -0.0 gradient arrives as +0.0
 
 
 class TestSoftmaxCrossEntropy:

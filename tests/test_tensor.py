@@ -58,6 +58,18 @@ class TestBasics:
         tsum(x).backward()
         assert x.grad.shape == x.data.shape
 
+    def test_repeated_backward_adds_one_pass(self):
+        # interior grads are dropped after each walk, so a second walk on
+        # the same graph adds exactly its own pass to the leaves
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = mul(x, x) * 3.0
+        z = tsum(y + x)
+        z.backward()
+        once = x.grad.copy()
+        z.backward()
+        np.testing.assert_array_equal(x.grad, 2 * once)
+        assert z.grad is None and y.grad is None
+
     def test_leaf_grads_are_private_copies(self):
         # add hands one array to both parents and reshape hands up a view,
         # so a grad that kept the array it was given would alias another
