@@ -6,10 +6,12 @@
 
 Thread pinning happens here and nowhere else: BLAS libraries size their
 pools when numpy first loads, so this module defers every numpy-touching
-import until after the environment is set. The effective thread count is
-resolved as --threads, then an `--override run.threads=...`, then the
-config file, then 1, and must be at least 1; the overrides and the file
-go through the same parser as the run's config, which loads no numpy.
+import until after the environment is set. The config is read once, by
+`config.file_values`, which loads no numpy: the file, then `--override`
+and the `--seed`/`--out` shorthands on top. `--threads` then replaces
+run.threads, and the count defaults to 1 and must be at least 1. The
+threads are pinned from those values, and the same values build the
+command's RunConfig (`eval` reads no config file).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# config loads no numpy, so it may load before the threads are pinned
+from .config import ConfigError, RunConfig, file_values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,45 +66,17 @@ _THREAD_VARS = (
 )
 
 
-def _scan_threads(args) -> int:
-    """Resolve the thread count through the config parser, which loads no numpy."""
-    from .config import ConfigError, apply_overrides, parse_config_text, typed_values
-
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        config = getattr(args, "config", None)
-        raw = {}
-        if config:
-            with open(config) as f:
-                raw = parse_config_text(f.read(), origin=config)
-        raw = apply_overrides(raw, getattr(args, "override", []))
-        threads = typed_values(raw, origin=config or "<config>").get("run.threads", 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    return threads
-
-
 def _pin_threads(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"threads must be at least 1, got {n}")
     for var in _THREAD_VARS:
         os.environ[var] = str(n)
 
 
-def _load_config(args, threads: int):
-    from .config import RunConfig
-
-    overrides = list(args.override)
-    if args.seed is not None:
-        overrides.append(f"run.seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"run.out_dir={args.out}")
-    overrides.append(f"run.threads={threads}")
-    return RunConfig.from_file(args.config, overrides=overrides)
-
-
-def _cmd_train(args, threads: int) -> int:
+def _cmd_train(args, values: dict) -> int:
     from .schedule import run_schedule
 
-    cfg = _load_config(args, threads)
+    cfg = RunConfig(values)
     log = None if args.quiet else print
     rows = run_schedule(cfg, resume=args.resume, log=log)
     last = rows[-1]
@@ -108,9 +85,8 @@ def _cmd_train(args, threads: int) -> int:
     return 0
 
 
-def _cmd_eval(args, threads: int) -> int:
+def _cmd_eval(args, values: dict) -> int:
     from .checkpoint import load_checkpoint
-    from .config import RunConfig
     from .data import Normalization
     from .metrics import METRICS_HEADER, MetricsRow, check_appendable
     from .schedule import evaluate, load_split, model_from_checkpoint, pooled_weight_error
@@ -147,10 +123,10 @@ def _cmd_eval(args, threads: int) -> int:
     return 0
 
 
-def _cmd_expand(args, threads: int) -> int:
+def _cmd_expand(args, values: dict) -> int:
     from .schedule import load_split, plan_phases
 
-    cfg = _load_config(args, threads)
+    cfg = RunConfig(values)
     phases = plan_phases(cfg)
     # the plan prints without a corpus on disk; a corpus that is there must load
     per_epoch = None
@@ -179,10 +155,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"train": _cmd_train, "eval": _cmd_eval, "expand": _cmd_expand}
     try:
-        threads = _scan_threads(args)
-        _pin_threads(threads)
+        values = {}
+        if args.command != "eval":
+            overrides = list(args.override)
+            if args.seed is not None:
+                overrides.append(f"run.seed={args.seed}")
+            if args.out is not None:
+                overrides.append(f"run.out_dir={args.out}")
+            values = file_values(args.config, overrides)
+        if args.threads is not None:
+            values["run.threads"] = args.threads
+        _pin_threads(values.setdefault("run.threads", 1))
         # ConfigError and CheckpointError are ValueErrors
-        return handlers[args.command](args, threads)
+        return handlers[args.command](args, values)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -150,6 +150,13 @@ def typed_values(raw: dict[str, str], origin: str = "<config>") -> dict[str, obj
     return typed
 
 
+def file_values(path: str, overrides: list[str]) -> dict[str, object]:
+    """Typed values of a config file with `key=value` overrides on top; loads no numpy."""
+    with open(path) as f:
+        raw = parse_config_text(f.read(), origin=path)
+    return typed_values(apply_overrides(raw, overrides), origin=path)
+
+
 @dataclass
 class RunConfig:
     """Typed view over the flat key space; see _SCHEMA for keys and defaults.
@@ -200,11 +207,7 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str, overrides: list[str] | None = None) -> "RunConfig":
-        with open(path) as f:
-            raw = parse_config_text(f.read(), origin=path)
-        if overrides:
-            raw = apply_overrides(raw, overrides)
-        return RunConfig.from_raw(raw, origin=path)
+        return RunConfig(file_values(path, overrides or []))
 
     # ------------------------------------------------------------------
 

@@ -68,10 +68,14 @@ class Normalization:
 
     @staticmethod
     def from_train(ds: Dataset) -> "Normalization":
-        """Per-channel statistics of the training split on the [0, 1] scale."""
-        x = ds.images.astype(np.float64) / 255.0
-        mean = x.mean(axis=(0, 2, 3))
-        std = x.std(axis=(0, 2, 3))
+        """Per-channel statistics of the training split on the [0, 1] scale.
+
+        One channel at a time, so the float64 copy is a channel's, not the split's.
+        """
+        mean, std = np.zeros((2, ds.images.shape[1]))
+        for c in range(len(mean)):
+            x = ds.images[:, c].astype(np.float64) / 255.0
+            mean[c], std[c] = x.mean(), x.std()
         std[std == 0.0] = 1.0
         return Normalization(mean.astype(np.float32), std.astype(np.float32))
 

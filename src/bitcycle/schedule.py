@@ -39,7 +39,7 @@ _INIT_TAG = 0x1A17
 
 
 class NonFiniteLossError(ValueError):
-    """Raised when a training step's loss is NaN or infinite."""
+    """Raised when a training step's loss or gradient is NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,15 @@ def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
     return model, cfg
 
 
+def _non_finite(what: str, phase: Phase, epoch: int, iteration: int) -> NonFiniteLossError:
+    # raised before the update: no weight, optimizer state, metrics row or checkpoint sees the step
+    return NonFiniteLossError(
+        f"non-finite {what} in phase {phase.index} ({phase.part}, k={phase.bit_depth}), "
+        f"epoch {epoch + 1}/{phase.epochs}, iteration {iteration + 1}; "
+        "the run directory keeps its last checkpoint"
+    )
+
+
 def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                  on_phase_start=None) -> list[MetricsRow]:
     """Execute the full phase plan; returns every metrics row written.
@@ -356,15 +365,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                     logits = model.forward(xb, training=True)
                     loss = softmax_cross_entropy(logits, yb)
                     if not np.isfinite(loss.data):
-                        # stop before the update: no weight, optimizer state,
-                        # metrics row or checkpoint sees this step
-                        raise NonFiniteLossError(
-                            f"non-finite training loss {loss.item()} in phase {phase.index} "
-                            f"({phase.part}, k={phase.bit_depth}), epoch {epoch + 1}/{phase.epochs}, "
-                            f"iteration {iteration + 1}; the run directory keeps its last checkpoint"
-                        )
+                        raise _non_finite(f"training loss {loss.item()}", phase, epoch, iteration)
                     model.zero_grad()
                     loss.backward()
+                    for name, p in model.trainable():
+                        if p.grad is not None and not np.isfinite(p.grad).all():
+                            raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
                     optimizer.step(lr)
                     loss_sum += loss.item()
                     n_batches += 1

@@ -3,13 +3,13 @@ import re
 import shutil
 import subprocess
 import sys
-from argparse import Namespace
 
 import numpy as np
 import pytest
 
 import bitcycle
-from bitcycle.cli import _scan_threads, main
+from bitcycle.cli import _THREAD_VARS, main
+from bitcycle.config import file_values
 from bitcycle.metrics import read_metrics
 
 from test_data import write_cifar10_file
@@ -248,33 +248,37 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "eval.csv")
 
 
-def test_thread_scan_precedence(tmp_path):
+def test_thread_count_precedence(tmp_path, monkeypatch, capsys):
+    # --threads beats --override, which beats the file, which beats the default of 1
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "unset")
     cfg = tmp_path / "t.cfg"
     cfg.write_text("run.threads = 3\n")
-    base = dict(config=str(cfg), override=[], threads=None)
-    assert _scan_threads(Namespace(**base)) == 3
-    assert _scan_threads(Namespace(**{**base, "override": ["run.threads=5"]})) == 5
-    assert _scan_threads(Namespace(**{**base, "threads": 7,
-                                      "override": ["run.threads=5"]})) == 7
+    assert file_values(str(cfg), [])["run.threads"] == 3
+    assert file_values(str(cfg), ["run.threads=5"])["run.threads"] == 5
+    assert main(["expand", "--config", str(cfg), "--threads", "7",
+                 "--override", "run.threads=5"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
     cfg.write_text("")
-    assert _scan_threads(Namespace(**base)) == 1
+    assert main(["expand", "--config", str(cfg)]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
-def test_thread_scan_loads_no_numpy(tmp_path):
+def test_file_values_loads_no_numpy(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("run.threads = 3\n")
     script = (
         "import sys\n"
-        "from argparse import Namespace\n"
-        "from bitcycle.cli import _scan_threads\n"
-        f"n = _scan_threads(Namespace(config={str(cfg)!r}, override=[], threads=None))\n"
-        "print(n, 'numpy' in sys.modules)\n"
+        "import bitcycle.cli\n"
+        "from bitcycle.config import file_values\n"
+        f"v = file_values({str(cfg)!r}, ['run.seed=4'])\n"
+        "print(v['run.threads'], v['run.seed'], 'numpy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(bitcycle.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["3", "False"]
+    assert out.split() == ["3", "4", "False"]
 
 
 def test_package_import_loads_no_numpy():

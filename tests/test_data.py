@@ -281,6 +281,19 @@ class TestNormalization:
         np.testing.assert_allclose(z.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
         np.testing.assert_allclose(z.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("images", [
+        np.random.default_rng(5).integers(0, 256, size=(777, 3, 32, 32), dtype=np.uint8),
+        make_synthetic(per_class=8, class_count=4, image_size=12, seed=0).images,  # the smoke corpus
+    ], ids=["cifar_shaped", "smoke"])
+    def test_train_statistics_match_the_whole_split_formula(self, images):
+        # the reference takes both moments over a float64 copy of the whole split
+        x = images.astype(np.float64) / 255.0
+        want_mean = x.mean(axis=(0, 2, 3)).astype(np.float32)
+        want_std = x.std(axis=(0, 2, 3)).astype(np.float32)
+        norm = Normalization.from_train(Dataset(images, np.zeros(len(images), np.int64), 1))
+        assert norm.mean.tobytes() == want_mean.tobytes()
+        assert norm.std.tobytes() == want_std.tobytes()
+
 
 class TestSubsetsAndSynthetic:
     def test_balanced_subset_counts(self):

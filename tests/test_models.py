@@ -264,3 +264,113 @@ class TestTransfer:
         dst = build_model(tiny_config(), np.random.default_rng(7))
         transfer_weights(src.params, dst.params)
         np.testing.assert_array_equal(dst.params["bn1.running_mean"].data, np.full(8, 3.25))
+
+
+class TestWholeNetworkSte:
+    """QuantResNet's backward is the gradient its STE conventions define.
+
+    The numeric side differentiates a float64 surrogate network. Each
+    fake-quant node, replayed in call order, becomes its STE linearisation
+    plus the offset that makes it agree with the real node at the base
+    point: clip(x, 0, 1) for activations, clip(w, -1, 1) for 1-bit weights
+    and tanh(w) / m for k >= 2 weights, with m = max|tanh(w)| frozen at the
+    base point as _fake_quant documents. Central differences of that
+    surrogate must match the analytic gradient of the real network.
+    """
+
+    STEP = 1e-6
+    MARGIN = 10  # steps between every fake-quant input and every STE edge
+    COORDS = 4   # checked coordinates per parameter tensor
+
+    @staticmethod
+    def _linear(kind, d, m):
+        if kind == "activation":
+            return np.clip(d, 0.0, 1.0)
+        if kind == "weight_binary":
+            return np.clip(d, -1.0, 1.0)
+        return np.tanh(d) / m
+
+    def _check(self, monkeypatch, cfg, hw, seed=0):
+        from bitcycle.nn import softmax_cross_entropy
+        from bitcycle.quantize import activation_spec, weight_spec
+
+        rng = np.random.default_rng(seed)
+        model = build_model(cfg, rng)
+        for p in model.params.values():
+            # conv weights spread past the binary STE window [-1, 1]; each conv feeds a BN
+            p.data = p.data.astype(np.float64) * (4.0 if p.data.ndim == 4 else 1.0)
+        x = Tensor(rng.standard_normal((4, cfg.in_channels, hw, hw)))
+        labels = rng.integers(0, cfg.num_classes, size=4)
+        real = {"fq_weights": (models.fq_weights, weight_spec),
+                "fq_activations": (models.fq_activations, activation_spec)}
+        nodes = []  # (kind, base input, offset, frozen m) per fake-quant call
+
+        def recording(fq, spec_of):
+            def wrapped(t, k):
+                out = fq(t, k)
+                if k != 32:
+                    kind, d = spec_of(k).kind, t.data.copy()
+                    m = np.max(np.abs(np.tanh(d)))
+                    nodes.append((kind, d, out.data - self._linear(kind, d, m), m))
+                return out
+            return wrapped
+
+        for attr, (fq, spec_of) in real.items():
+            monkeypatch.setattr(models, attr, recording(fq, spec_of))
+        softmax_cross_entropy(model.forward(x, training=True), labels).backward()
+
+        queue = []
+
+        def replaying(spec_of):
+            def wrapped(t, k):
+                if k == 32:
+                    return t
+                kind, d0, off, m = queue.pop(0)
+                assert kind == spec_of(k).kind and t.shape == d0.shape
+                lo, hi = (0.0, 1.0) if kind == "activation" else (-1.0, 1.0)
+                if kind != "weight_multi_bit":
+                    room = np.minimum(np.abs(d0 - lo), np.abs(d0 - hi))
+                    need = self.MARGIN * np.maximum(np.abs(t.data - d0), self.STEP)
+                    # too close to an edge is a failure, not a skip
+                    assert np.all(room >= need), \
+                        f"{kind} input within {room.min():.2e} of an STE edge"
+                return Tensor(self._linear(kind, t.data, m) + off)
+            return wrapped
+
+        for attr, (_, spec_of) in real.items():
+            monkeypatch.setattr(models, attr, replaying(spec_of))
+
+        def loss():
+            queue[:] = nodes
+            with no_grad():
+                value = softmax_cross_entropy(model.forward(x, training=True), labels).item()
+            assert not queue
+            return value
+
+        base = loss()
+        for name, p in model.trainable():
+            flat = p.data.reshape(-1)
+            for i in rng.choice(flat.size, size=min(self.COORDS, flat.size), replace=False):
+                w = flat[i]
+                flat[i] = w + self.STEP
+                up = loss()
+                flat[i] = w - self.STEP
+                down = loss()
+                flat[i] = w
+                numeric = (up - down) / (2 * self.STEP)
+                analytic = p.grad.reshape(-1)[i]
+                assert abs(numeric - analytic) <= 1e-4 * abs(analytic) + 1e-8, \
+                    (name, i, numeric, analytic)
+        assert loss() == base
+
+    @pytest.mark.parametrize("block_kind", ["type1", "type2"])
+    @pytest.mark.parametrize("bit_depth", [32, 4, 2, 1])
+    def test_cifar_stem(self, monkeypatch, bit_depth, block_kind):
+        cfg = ModelConfig(block_kind=block_kind, stage_channels=(3, 4), blocks_per_stage=(1, 1),
+                          num_classes=5, stem="cifar", bit_depth=bit_depth)
+        self._check(monkeypatch, cfg, hw=8)
+
+    def test_imagenet_stem_at_one_bit(self, monkeypatch):
+        cfg = ModelConfig(block_kind="type1", stage_channels=(3, 4), blocks_per_stage=(1, 1),
+                          num_classes=5, stem="imagenet", bit_depth=1)
+        self._check(monkeypatch, cfg, hw=16)

@@ -433,6 +433,27 @@ def test_resume_checks_optimizer_state(tmp_path, corrupt, expected):
     assert (out / "metrics.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda tensors: tensors.update({"fc.bias": np.zeros(1, np.float32)}), "('fc.bias', (1,), (4,))"),
+    (lambda tensors: tensors.pop("stage1.block0.bn2.running_var"),
+     "only in target: ['stage1.block0.bn2.running_var']"),
+], ids=["misshaped", "missing"])
+def test_resume_checks_model_tensors(tmp_path, corrupt, expected):
+    # the checkpoint covers 3 epochs; its model tensors no longer fit the model
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    corrupt(ck.tensors)
+    save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert f"{path} does not fit the model" in str(err.value) and expected in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
 def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
     # a NaN pixel in the second batch of global epoch 2 (phase 2, its first
     # epoch; two batches per epoch) makes that step's loss NaN
@@ -460,6 +481,40 @@ def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
     ck = load_checkpoint(str(out / "checkpoint.bin"))
     assert (ck.phase_index, ck.epochs_done) == (1, 1)
     assert all(np.isfinite(t).all() for t in ck.tensors.values())
+
+
+def test_non_finite_gradient_stops_before_the_update(tmp_path, monkeypatch):
+    # iteration 6 (phase 2, its first epoch, second batch) has a finite loss,
+    # but its backward leaves NaN in the classifier's gradient and +inf in a
+    # block conv's, which comes first in model.trainable() order
+    out = tmp_path / "run"
+    values = tiny_values()
+    values["run.out_dir"] = str(out)
+    models = []
+    clean = Tensor.backward
+    saved = {}
+
+    def poisoned(self, *args, **kw):
+        clean(self, *args, **kw)
+        saved["steps"] = saved.get("steps", 0) + 1
+        if saved["steps"] == 6:
+            saved.update({f: (out / f).read_bytes() for f in ("checkpoint.bin", "metrics.csv")})
+            params = models[-1].params
+            params["fc.weight"].grad[0, 0] = np.nan
+            params["stage1.block0.conv1.weight"].grad[0, 0, 0, 0] = np.inf
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    with pytest.raises(NonFiniteLossError) as err:
+        run_schedule(RunConfig(values), on_phase_start=lambda phase, model: models.append(model))
+    msg = str(err.value)
+    assert "gradient for stage1.block0.conv1.weight in phase 2 " in msg
+    assert "epoch 1/1" in msg and "iteration 6" in msg
+    for f in ("checkpoint.bin", "metrics.csv"):
+        assert (out / f).read_bytes() == saved[f]
+    ck = load_checkpoint(str(out / "checkpoint.bin"))
+    assert (ck.phase_index, ck.epochs_done) == (1, 1)
+    assert all(np.isfinite(t).all() for t in ck.tensors.values())
+    assert all(np.isfinite(p.data).all() for p in models[-1].params.values())
 
 
 def test_resume_on_finished_run_is_a_no_op(tmp_path):
