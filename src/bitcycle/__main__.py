@@ -1,0 +1,8 @@
+"""``python -m bitcycle``: the same commands as the installed ``bitcycle`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -118,13 +118,22 @@ class _Reader:
 
 @contextmanager
 def replace_atomically(path: str):
-    """Yield a temp path beside path; on success it replaces path, on failure it is removed."""
+    """Yield a temp path beside path; on success it replaces path, on failure it is removed.
+
+    The temp file's bytes reach the disk (fsync) before the rename, so a
+    crash cannot leave path naming a file whose contents were never written.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:
         yield tmp
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

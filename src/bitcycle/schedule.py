@@ -39,7 +39,7 @@ _INIT_TAG = 0x1A17
 
 
 class NonFiniteLossError(ValueError):
-    """Raised when a training step's loss or gradient is NaN or infinite."""
+    """Raised when a training step's loss, gradient or updated weight is NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
 
 
 def _non_finite(what: str, phase: Phase, epoch: int, iteration: int) -> NonFiniteLossError:
-    # raised before the update: no weight, optimizer state, metrics row or checkpoint sees the step
+    # raised before the step's metrics row or checkpoint: the run directory never sees it
     return NonFiniteLossError(
         f"non-finite {what} in phase {phase.index} ({phase.part}, k={phase.bit_depth}), "
         f"epoch {epoch + 1}/{phase.epochs}, iteration {iteration + 1}; "
@@ -372,6 +372,9 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                         if p.grad is not None and not np.isfinite(p.grad).all():
                             raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
                     optimizer.step(lr)
+                    for name, p in model.trainable():
+                        if not np.isfinite(p.data).all():
+                            raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
                     loss_sum += loss.item()
                     n_batches += 1
                     iteration += 1

@@ -5,16 +5,60 @@ gradients records a node with a backward closure, and ``Tensor.backward``
 replays the recorded graph in reverse topological order. Data lives in
 plain numpy arrays (float32 for training, float64 for gradient checks)
 and ops preserve the dtype they are given.
+
+``backward`` consumes the graph it walks: each interior node lets go of
+its parents and its closure (the forward activations the closure saved)
+as soon as its parents hold their gradients, so a training step's
+activations are freed during the walk rather than when the caller drops
+the loss. A second ``backward`` through a walked node raises.
+
+Freeing activations mid-walk and allocating them again in the next
+forward is what glibc's default malloc handles worst: its dynamic
+thresholds serve large blocks from mmap and trim the heap top, so every
+step faults the same pages back in. Importing this module therefore fixes
+both thresholds (see ``_fix_malloc_thresholds``); that changes where
+arrays live, never a computed bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 _grad_enabled = True
+
+# glibc's mallopt parameters, and the values fixed for them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20   # glibc's maximum on 64-bit
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    """Keep freed arrays below 32 MiB in the heap for the next forward.
+
+    Blocks under the mmap threshold come from the heap, and the heap top is
+    returned to the system only past the trim threshold. Fixing both also
+    turns off glibc's rule that raises them to the largest mmapped block
+    freed so far, which made the page-fault count, and so the speed, hang
+    on which arrays a run happened to free first. Where libc.so.6 does not
+    load (not glibc), this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_fix_malloc_thresholds()
 
 
 @contextlib.contextmanager
@@ -87,15 +131,17 @@ class Tensor:
             self.grad += g
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode accumulation from this tensor.
+        """Run reverse-mode accumulation from this tensor, consuming the graph.
 
         Without an explicit seed the tensor must be scalar. Every node in
         the recorded graph is visited exactly once, in reverse topological
         order. Leaves accumulate their gradient into ``grad`` across calls.
         An interior node (one with a backward closure, this tensor included)
-        drops its ``grad`` once its parents have received theirs, so the
-        walk holds no more gradients than it must and a second call on the
-        same graph adds exactly one more pass to the leaves.
+        drops its ``grad``, its parents and its closure once its parents
+        have received their gradients, so the walk frees each saved
+        activation as soon as nothing below it needs it. A walked node
+        keeps its ``data``; a later ``backward`` that reaches it raises
+        ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -125,16 +171,22 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            # popping drops the walk's own reference, so a node nothing
+            # else holds is freed as soon as the next one is taken
+            node = order.pop()
+            backward, parents = node._backward, node._parents
+            if backward is None:
                 continue
-            parent_grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, parent_grads):
-                if g is None:
+            g, node.grad = node.grad, None
+            node._backward, node._parents = _walked, ()
+            if g is None:
+                continue
+            for parent, pg in zip(parents, backward(g)):
+                if pg is None:
                     continue
                 if parent.requires_grad or parent._backward is not None:
-                    parent._accumulate(g)
-            node.grad = None
+                    parent._accumulate(pg)
 
     # ------------------------------------------------------------------
     # operators
@@ -168,6 +220,11 @@ class Tensor:
 
     def mean(self):
         return tmean(self)
+
+
+def _walked(g):
+    raise RuntimeError("backward() reached a node that an earlier backward() already consumed; "
+                       "run the forward again to record a new graph")
 
 
 def _as_tensor(x) -> Tensor:

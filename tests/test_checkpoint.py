@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bitcycle.checkpoint import (
     Checkpoint,
     CheckpointError,
     load_checkpoint,
+    replace_atomically,
     save_checkpoint,
 )
 
@@ -90,6 +92,34 @@ def test_overwrite_replaces_atomically(tmp_path):
     second = open(path, "rb").read()
     assert first != second
     assert sorted(os.listdir(tmp_path)) == ["ck.bin"]
+
+
+def test_temp_file_is_fsynced_whole_before_the_rename(tmp_path, monkeypatch):
+    # both writers: save_checkpoint and the phase snapshot's copy of it
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        st = os.stat(src)
+        calls.append(("replace", st.st_ino, st.st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    latest, snapshot = str(tmp_path / "ck.bin"), str(tmp_path / "ck_phase000.bin")
+    save_checkpoint(latest, _sample())
+    with replace_atomically(snapshot) as tmp:
+        shutil.copyfile(latest, tmp)
+    size = os.path.getsize(latest)
+    assert [c[0] for c in calls] == ["fsync", "replace", "fsync", "replace"]
+    assert calls[0][1:] == calls[1][1:] and calls[2][1:] == calls[3][1:]
+    assert calls[0][2] == calls[2][2] == size
+    assert calls[0][1] == os.stat(latest).st_ino and calls[2][1] == os.stat(snapshot).st_ino
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -290,6 +290,19 @@ def test_package_import_loads_no_numpy():
     assert out.split() == ["False"]
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(bitcycle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    helped = subprocess.run([sys.executable, "-m", "bitcycle", "--help"], env=env,
+                            capture_output=True, text=True)
+    assert helped.returncode == 0 and "{train,eval,expand}" in helped.stdout
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    refused = subprocess.run([sys.executable, "-m", "bitcycle", "expand", "--config", str(cfg),
+                              "--override", "run.threads=x"], env=env, capture_output=True, text=True)
+    assert refused.returncode == 1 and refused.stderr.startswith("error:")
+
+
 def test_bad_thread_override_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")

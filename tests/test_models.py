@@ -1,5 +1,7 @@
 """Model zoo: topology, quantization placement, weight hand-off."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,8 @@ class TestGradientFlow:
         assert not dead, f"dead parameters at k={bit_depth}: {dead}"
 
     @staticmethod
-    def _grads_without_release(root):
-        """Every node's gradient by a walk that keeps them all, keyed by id."""
+    def _topo_order(root):
+        """Every node of root's graph, parents before children."""
         order, seen, stack = [], set(), [(root, False)]
         while stack:
             node, done = stack.pop()
@@ -197,6 +199,12 @@ class TestGradientFlow:
                 seen.add(id(node))
                 stack.append((node, True))
                 stack.extend((p, False) for p in node._parents if id(p) not in seen)
+        return order
+
+    @classmethod
+    def _grads_without_release(cls, root):
+        """Every node's gradient by a walk that keeps them all, keyed by id."""
+        order = cls._topo_order(root)
         grads = {id(root): np.ones_like(root.data)}
         for node in reversed(order):
             if node._backward is None or id(node) not in grads:
@@ -223,6 +231,57 @@ class TestGradientFlow:
         assert len(interior) > 10 and all(t.grad is None for t in interior)
         for name, p in model.trainable():
             assert p.grad is not None and np.array_equal(p.grad, kept[id(p)]), name
+
+    @pytest.mark.parametrize("bit_depth", [1, 32])
+    def test_backward_frees_the_graph_while_the_loss_is_held(self, bit_depth):
+        from bitcycle.nn import softmax_cross_entropy
+
+        model = build_model(tiny_config(bit_depth=bit_depth), np.random.default_rng(3))
+        x = rand_images(4, 3, 16, seed=5)
+        labels = np.random.default_rng(4).integers(0, 4, size=4)
+        loss = softmax_cross_entropy(model.forward(x, training=True), labels)
+        # every interior output and every array a closure saved, except
+        # those the caller still holds: the weights, the batch and the loss
+        held = {id(a) for a in (x.data, labels, loss.data, *(p.data for p in model.params.values()))}
+        nodes = [t for t in self._topo_order(loss) if t._backward is not None]
+        arrays = [t.data for t in nodes if t is not loss]
+        arrays += [c.cell_contents for t in nodes for c in t._backward.__closure__ or ()
+                   if isinstance(c.cell_contents, np.ndarray)]
+        refs = [weakref.ref(a) for a in arrays if id(a) not in held]
+        del nodes, arrays
+        assert len(refs) > 20 and all(r() is not None for r in refs)
+        loss.backward()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_last_conv_saves_are_freed_before_the_first_conv_backward(self, monkeypatch):
+        from bitcycle import nn
+
+        clean = nn.conv2d
+        saved = []   # per conv call: weakrefs to the arrays its closure owns
+        seen_by_first = []
+
+        def recording(x, weight, *args, **kw):
+            out = clean(x, weight, *args, **kw)
+            cells = [c.cell_contents for c in out._backward.__closure__]
+            saved.append([weakref.ref(a) for a in cells if isinstance(a, np.ndarray)
+                          and a is not x.data and a is not weight.data])
+            if len(saved) == 1:
+                first = out._backward
+
+                def first_backward(g):
+                    seen_by_first.append([r() for r in saved[-1]])
+                    return first(g)
+
+                out._backward = first_backward
+            return out
+
+        monkeypatch.setattr(nn, "conv2d", recording)
+        model = build_model(tiny_config(bit_depth=1), np.random.default_rng(3))
+        loss = nn.softmax_cross_entropy(model.forward(rand_images(4, 3, 16, seed=5), training=True),
+                                        np.random.default_rng(4).integers(0, 4, size=4))
+        assert len(saved) > 3 and saved[-1] and all(r() is not None for r in saved[-1])
+        loss.backward()
+        assert seen_by_first == [[None] * len(saved[-1])]
 
 
 class TestTransfer:

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from bitcycle import data
+from bitcycle import data, optim
 from bitcycle.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitcycle.config import ConfigError, RunConfig
 from bitcycle.data import Normalization, make_synthetic
@@ -515,6 +515,35 @@ def test_non_finite_gradient_stops_before_the_update(tmp_path, monkeypatch):
     assert (ck.phase_index, ck.epochs_done) == (1, 1)
     assert all(np.isfinite(t).all() for t in ck.tensors.values())
     assert all(np.isfinite(p.data).all() for p in models[-1].params.values())
+
+
+def test_non_finite_weight_stops_before_the_metrics_row(tmp_path, monkeypatch):
+    # iteration 6's update leaves +inf in a block conv's weight and NaN in
+    # the classifier's; the conv comes first in model.trainable() order
+    out = tmp_path / "run"
+    clean = optim.Adam.step
+    saved = {}
+
+    def poisoned(self, lr):
+        clean(self, lr)
+        saved["steps"] = saved.get("steps", 0) + 1
+        if saved["steps"] == 6:
+            saved.update({f: (out / f).read_bytes() for f in ("checkpoint.bin", "metrics.csv")})
+            params = dict(self.params)
+            params["fc.weight"].data[0, 0] = np.nan
+            params["stage1.block0.conv1.weight"].data[0, 0, 0, 0] = np.inf
+
+    monkeypatch.setattr(optim.Adam, "step", poisoned)
+    with pytest.raises(NonFiniteLossError) as err:
+        _run(tmp_path, "run")
+    msg = str(err.value)
+    assert "weight stage1.block0.conv1.weight after the update in phase 2 " in msg
+    assert "epoch 1/1" in msg and "iteration 6" in msg
+    for f in ("checkpoint.bin", "metrics.csv"):
+        assert (out / f).read_bytes() == saved[f]
+    ck = load_checkpoint(str(out / "checkpoint.bin"))
+    assert (ck.phase_index, ck.epochs_done) == (1, 1)
+    assert all(np.isfinite(t).all() for t in ck.tensors.values())
 
 
 def test_resume_on_finished_run_is_a_no_op(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bitcycle import tensor
 from bitcycle.tensor import Tensor, add, clamp, matmul, mul, no_grad, reshape, tmean, tsum
 
 from gradcheck import gradcheck
@@ -58,17 +59,22 @@ class TestBasics:
         tsum(x).backward()
         assert x.grad.shape == x.data.shape
 
-    def test_repeated_backward_adds_one_pass(self):
-        # interior grads are dropped after each walk, so a second walk on
-        # the same graph adds exactly its own pass to the leaves
+    def test_repeated_backward_raises_and_keeps_one_pass(self):
+        # backward consumes the graph: a second walk raises instead of
+        # adding to the leaves, and so does a walk from another root that
+        # reaches a node the first walk consumed
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         y = mul(x, x) * 3.0
         z = tsum(y + x)
+        other = tsum(y * 2.0)
         z.backward()
-        once = x.grad.copy()
-        z.backward()
-        np.testing.assert_array_equal(x.grad, 2 * once)
+        np.testing.assert_array_equal(x.grad, [7.0, -11.0])
+        for root in (z, other):
+            with pytest.raises(RuntimeError, match="already consumed"):
+                root.backward()
+        np.testing.assert_array_equal(x.grad, [7.0, -11.0])
         assert z.grad is None and y.grad is None
+        assert y._parents == () and z._parents == ()
 
     def test_leaf_grads_are_private_copies(self):
         # add hands one array to both parents and reshape hands up a view,
@@ -90,6 +96,27 @@ class TestBasics:
         c.grad[0] = -1.0
         np.testing.assert_array_equal(b.grad, seed)
         np.testing.assert_array_equal(seed, np.arange(6.0).reshape(2, 3))
+
+
+class TestMallocThresholds:
+    def test_fixes_both_thresholds_through_mallopt(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                self.mallopt = lambda param, value: calls.append((name, param, value)) or 1
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", FakeLibc)
+        tensor._fix_malloc_thresholds()
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
+        assert calls == [("libc.so.6", -3, 32 << 20), ("libc.so.6", -1, 256 << 20)]
+
+    def test_no_op_without_glibc(self, monkeypatch):
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", no_libc)
+        assert tensor._fix_malloc_thresholds() is None
 
 
 class TestBroadcasting:
