@@ -116,12 +116,22 @@ class _Reader:
         return out
 
 
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @contextmanager
 def replace_atomically(path: str):
     """Yield a temp path beside path; on success it replaces path, on failure it is removed.
 
     The temp file's bytes reach the disk (fsync) before the rename, so a
-    crash cannot leave path naming a file whose contents were never written.
+    crash cannot leave path naming a file whose contents were never written,
+    and the directory is fsynced after it, so the rename itself survives a
+    power failure.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -129,12 +139,9 @@ def replace_atomically(path: str):
     os.close(fd)
     try:
         yield tmp
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        _fsync(tmp)
         os.replace(tmp, path)
+        _fsync(directory)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

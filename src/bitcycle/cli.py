@@ -136,17 +136,14 @@ def _cmd_expand(args, values: dict) -> int:
         except FileNotFoundError:
             pass
 
+    def iterations(epochs: int) -> str:
+        return "-" if per_epoch is None else str(epochs * per_epoch)
+
     print(f"{'index':>5}  {'part':<13}  {'bits':>4}  {'epochs':>6}  {'iterations':>10}")
-    total_epochs = 0
-    total_iters = 0
     for p in phases:
-        iters = "-" if per_epoch is None else str(p.epochs * per_epoch)
-        print(f"{p.index:>5}  {p.part:<13}  {p.bit_depth:>4}  {p.epochs:>6}  {iters:>10}")
-        total_epochs += p.epochs
-        if per_epoch is not None:
-            total_iters += p.epochs * per_epoch
-    tail = "-" if per_epoch is None else str(total_iters)
-    print(f"{len(phases)} phases, {total_epochs} epochs, {tail} iterations")
+        print(f"{p.index:>5}  {p.part:<13}  {p.bit_depth:>4}  {p.epochs:>6}  {iterations(p.epochs):>10}")
+    total = sum(p.epochs for p in phases)
+    print(f"{len(phases)} phases, {total} epochs, {iterations(total)} iterations")
     return 0
 
 

@@ -177,7 +177,7 @@ class RunConfig:
         # a key's bound lives in the object that takes the key; only keys no object takes are checked here
         from .data import AugmentPolicy
         from .optim import LrSchedule
-        from .schedule import CtmqInputs, _single_phase, expand_schedule
+        from .schedule import CtmqInputs
 
         if self["schedule.mode"] not in ("ctmq", "single"):
             raise ConfigError(f"schedule.mode must be ctmq or single, got {self['schedule.mode']!r}")
@@ -191,19 +191,15 @@ class RunConfig:
         try:
             self.optimizer_config()
             self.view(AugmentPolicy, "data")
-            # both modes' plans, so a key is refused whichever mode is set
-            for phase in expand_schedule(self.view(CtmqInputs, "schedule")) + _single_phase(self):
-                self.model_config(phase.bit_depth)
-                LrSchedule(self["optimizer.lr_policy"], phase.epochs)
+            # both modes' keys; CtmqInputs keeps every ctmq phase's depth and epochs within these
+            self.view(CtmqInputs, "schedule")
+            self.model_config(self["schedule.bit_depth"])
+            LrSchedule(self["optimizer.lr_policy"], self["schedule.epochs"])
         except ValueError as e:
             raise ConfigError(f"invalid config: {e}") from None
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    @staticmethod
-    def from_raw(raw: dict[str, str], origin: str = "<config>") -> "RunConfig":
-        return RunConfig(typed_values(raw, origin))
 
     @staticmethod
     def from_file(path: str, overrides: list[str] | None = None) -> "RunConfig":

@@ -84,20 +84,20 @@ def check_appendable(path: str, header: str) -> None:
 
 
 class MetricsWriter:
-    """Appends rows to metrics.csv and timing.csv; keep_rows=K resumes both after row K."""
+    """Appends rows to metrics.csv and timing.csv; done=K resumes both after row K."""
 
-    def __init__(self, out_dir: str, keep_rows: int | None = None):
+    def __init__(self, out_dir: str, done: int | None = None):
         os.makedirs(out_dir, exist_ok=True)
         self.metrics_path = os.path.join(out_dir, "metrics.csv")
         self.timing_path = os.path.join(out_dir, "timing.csv")
         files = ((self.metrics_path, METRICS_HEADER), (self.timing_path, TIMING_HEADER))
-        if keep_rows is None:
+        if done is None:
             for path, header in files:
                 with open(path, "w", newline="") as f:
                     f.write(header + "\n")
         else:
             # both files are checked before either is cut
-            cuts = [(path, _prefix_length(path, header, keep_rows)) for path, header in files]
+            cuts = [(path, _prefix_length(path, header, done)) for path, header in files]
             for path, length in cuts:
                 os.truncate(path, length)
         self._metrics = open(self.metrics_path, "a", newline="")

@@ -10,13 +10,17 @@ accumulator rows stay in cache. Each output element still adds its taps in
 tap order, so the sums are those of one full-height GEMM per tap as long
 as the BLAS rounds a row alike at any GEMM height. Blocks never fall under
 ``1200 // min(c, o) + 1`` rows, below which OpenBLAS's small-matrix kernels
-do not. The input gradient is a gather over the same blocks: each block of
-phase rows sums, from zero and in tap order, the output-gradient rows its
-taps read, which is what one full-height scatter per tap adds. The weight
-gradient stays one full-height GEMM per tap. An input that needs no
-gradient, such as the image batch, gets none computed. Backward rebuilds
-the padded copy instead of keeping it alive, trading a little compute for a
-smaller peak footprint.
+do not. Two corners fall outside that promise: ``dx`` at c = 1, where numpy
+sends the one-column product down a matrix-vector path, and forward with
+few output channels against many inputs (o <= 8 at c = 64, o <= 3 at c = 16
+in float64, o = 1 at c >= 8). There a block split can change the last bits
+of a sum. No shipped conv reaches either corner. The input gradient is a
+gather over the same blocks: each block of phase rows sums, from zero and
+in tap order, the output-gradient rows its taps read, which is what one
+full-height scatter per tap adds. The weight gradient stays one full-height
+GEMM per tap. An input that needs no gradient, such as the image batch,
+gets none computed. Backward rebuilds the padded copy instead of keeping it
+alive, trading a little compute for a smaller peak footprint.
 
 Batch norm works on the channel-last (rows, c) view of its input, which is
 free for conv outputs: each per-channel sum is one matrix-vector product

@@ -97,13 +97,9 @@ def expand_schedule(inputs: CtmqInputs) -> list[Phase]:
     return phases
 
 
-def _single_phase(cfg: RunConfig) -> list[Phase]:
-    return [Phase(0, "single", cfg["schedule.bit_depth"], cfg["schedule.epochs"])]
-
-
 def plan_phases(cfg: RunConfig) -> list[Phase]:
     if cfg["schedule.mode"] == "single":
-        return _single_phase(cfg)
+        return [Phase(0, "single", cfg["schedule.bit_depth"], cfg["schedule.epochs"])]
     return expand_schedule(cfg.view(CtmqInputs, "schedule"))
 
 
@@ -212,7 +208,7 @@ def _epochs_before(phases: list[Phase], index: int) -> int:
     return sum(p.epochs for p in phases[:index])
 
 
-def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimizer,
+def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
                       phase: Phase, epochs_done: int, iteration: int,
                       norm: D.Normalization, train_name: str,
                       snapshot: bool = False) -> None:
@@ -234,12 +230,12 @@ def _write_checkpoint(out_dir: str, cfg: RunConfig, model: QuantResNet, optimize
         step_count=optimizer.step_count,
         metadata=meta,
     )
-    latest = os.path.join(out_dir, "checkpoint.bin")
-    save_checkpoint(latest, ck)
+    save_checkpoint(path, ck)
     if snapshot:
         # end-of-phase snapshots stay around; checkpoint.bin is the rolling latest
-        with replace_atomically(os.path.join(out_dir, f"checkpoint_phase{phase.index:03d}.bin")) as tmp:
-            shutil.copyfile(latest, tmp)
+        snapshot_path = os.path.join(os.path.dirname(path), f"checkpoint_phase{phase.index:03d}.bin")
+        with replace_atomically(snapshot_path) as tmp:
+            shutil.copyfile(path, tmp)
 
 
 def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> None:
@@ -249,13 +245,17 @@ def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> 
         raise CheckpointError(f"{origin} does not fit the model: {e}") from None
 
 
+def _model_at(cfg: RunConfig, bit_depth: int, tensors: dict, origin: str) -> QuantResNet:
+    """The network at bit_depth holding tensors; all are overwritten, so the init seed never shows."""
+    model = build_model(cfg.model_config(bit_depth), rng=np.random.default_rng(0))
+    _load_tensors(tensors, model.params, origin)
+    return model
+
+
 def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
     """Rebuild the exact network a checkpoint was taken from."""
-    cfg = RunConfig.from_raw(parse_config_text(ck.metadata["config"], origin="<checkpoint>"))
-    model = build_model(cfg.model_config(int(ck.metadata["bit_depth"])),
-                        rng=np.random.default_rng(0))
-    _load_tensors(ck.tensors, model.params, "checkpoint")
-    return model, cfg
+    cfg = RunConfig(parse_config_text(ck.metadata["config"], origin="<checkpoint>"))
+    return _model_at(cfg, int(ck.metadata["bit_depth"]), ck.tensors, "checkpoint"), cfg
 
 
 def _non_finite(what: str, phase: Phase, epoch: int, iteration: int) -> NonFiniteLossError:
@@ -294,11 +294,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         )
 
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
+    if not resume and os.path.exists(ckpt_path):
+        raise CheckpointError(f"{out_dir} already holds a run: continue it with --resume "
+                              "or train into a new directory")
 
-    start_phase = 0
-    start_epoch = 0
-    keep_rows = None
-    loaded: Checkpoint | None = None
+    # done counts the epochs the run directory holds: the global index of the next epoch
+    done = iteration = 0
     if resume:
         if not os.path.exists(ckpt_path):
             raise CheckpointError(f"cannot resume: {ckpt_path} does not exist")
@@ -308,59 +309,49 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 "cannot resume: checkpoint was produced by a different config "
                 f"(digest {loaded.config_digest[:12]}, expected {cfg.digest()[:12]})"
             )
-        start_phase = loaded.phase_index
-        start_epoch = loaded.epochs_done
-        keep_rows = _epochs_before(phases, start_phase) + start_epoch
-    elif os.path.exists(ckpt_path):
-        raise CheckpointError(f"{out_dir} already holds a run: continue it with --resume "
-                              "or train into a new directory")
-
-    init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
-    model = build_model(cfg.model_config(phases[start_phase].bit_depth), rng=init_rng)
-    optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
-    if loaded:
-        _load_tensors(loaded.tensors, model.params, ckpt_path)
-        if 0 < start_epoch < phases[start_phase].epochs:
+        at = phases[loaded.phase_index]
+        done = _epochs_before(phases, at.index) + loaded.epochs_done
+        iteration = int(loaded.metadata["iteration"])
+        model = _model_at(cfg, at.bit_depth, loaded.tensors, ckpt_path)
+        if 0 < loaded.epochs_done < at.epochs:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
+            optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
                           f"{ckpt_path} optimizer state")
             optimizer.step_count = loaded.step_count
     elif cfg["schedule.initial_weights"]:
         warm_path = cfg["schedule.initial_weights"]
-        _load_tensors(load_checkpoint(warm_path).tensors, model.params,
-                      f"schedule.initial_weights {warm_path}")
+        model = _model_at(cfg, phases[0].bit_depth, load_checkpoint(warm_path).tensors,
+                          f"schedule.initial_weights {warm_path}")
+    else:
+        init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
+        model = build_model(cfg.model_config(phases[0].bit_depth), rng=init_rng)
 
-    iteration = int(loaded.metadata["iteration"]) if loaded else 0
     checkpoint_every = cfg["run.checkpoint_every"]
 
-    with MetricsWriter(out_dir, keep_rows) as writer:
+    with MetricsWriter(out_dir, done if resume else None) as writer:
         with open(os.path.join(out_dir, "config.txt"), "w") as f:
             f.write(cfg.canonical_text())
-        rows = read_metrics(writer.metrics_path) if loaded else []
-        for phase in phases[start_phase:]:
-            phase_epoch0 = start_epoch if phase.index == start_phase else 0
-            if phase_epoch0 == phase.epochs:
-                continue  # the checkpoint was taken at the end of this phase
+        rows = read_metrics(writer.metrics_path) if resume else []
+        for phase in phases:
+            first = done - _epochs_before(phases, phase.index)
+            if first >= phase.epochs:
+                continue  # the run directory holds the whole phase
             if model.cfg.bit_depth != phase.bit_depth:
-                successor = build_model(cfg.model_config(phase.bit_depth),
-                                        rng=np.random.default_rng(0))
-                transfer_weights(model.params, successor.params)
-                model = successor
+                model = _model_at(cfg, phase.bit_depth, model.params, "the hand-off")
 
             if on_phase_start is not None:
                 on_phase_start(phase, model)
-            if phase.index != start_phase:
+            if first == 0:
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             lr_schedule = LrSchedule(cfg["optimizer.lr_policy"], phase.epochs)
 
-            global_epoch0 = _epochs_before(phases, phase.index)
-            for epoch in range(phase_epoch0, phase.epochs):
+            for epoch in range(first, phase.epochs):
                 t0 = time.monotonic()
                 lr = lr_at(lr_schedule, epoch, cfg["optimizer.lr_base"])
                 loss_sum = 0.0
                 n_batches = 0
-                for xb, yb in D.batches(train, batch_size, seed,
-                                        global_epoch0 + epoch,
+                for xb, yb in D.batches(train, batch_size, seed, done,
                                         policy=policy, norm=norm):
                     logits = model.forward(xb, training=True)
                     loss = softmax_cross_entropy(logits, yb)
@@ -389,6 +380,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 )
                 writer.append(row)
                 rows.append(row)
+                done += 1
                 if log:
                     log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
                         f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
@@ -397,7 +389,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 periodic = (phase.part in ("final", "single")
                             and (epoch + 1) % checkpoint_every == 0)
                 if end_of_phase or periodic:
-                    _write_checkpoint(out_dir, cfg, model, optimizer, phase,
+                    _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
                                       epoch + 1, iteration, norm, train.name,
                                       snapshot=end_of_phase)
     return rows

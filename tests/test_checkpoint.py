@@ -1,5 +1,6 @@
 import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_temp_file_is_fsynced_whole_before_the_rename(tmp_path, monkeypatch):
 
     def fsync(fd):
         st = os.fstat(fd)
-        calls.append(("fsync", st.st_ino, st.st_size))
+        calls.append(("dirsync" if stat.S_ISDIR(st.st_mode) else "fsync", st.st_ino, st.st_size))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -116,10 +117,29 @@ def test_temp_file_is_fsynced_whole_before_the_rename(tmp_path, monkeypatch):
     with replace_atomically(snapshot) as tmp:
         shutil.copyfile(latest, tmp)
     size = os.path.getsize(latest)
-    assert [c[0] for c in calls] == ["fsync", "replace", "fsync", "replace"]
-    assert calls[0][1:] == calls[1][1:] and calls[2][1:] == calls[3][1:]
-    assert calls[0][2] == calls[2][2] == size
-    assert calls[0][1] == os.stat(latest).st_ino and calls[2][1] == os.stat(snapshot).st_ino
+    assert [c[0] for c in calls] == ["fsync", "replace", "dirsync"] * 2
+    assert calls[0][1:] == calls[1][1:] and calls[3][1:] == calls[4][1:]
+    assert calls[0][2] == calls[3][2] == size
+    assert calls[0][1] == os.stat(latest).st_ino and calls[3][1] == os.stat(snapshot).st_ino
+
+
+def test_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    # the rename is an entry in the directory: only a directory fsync makes it durable
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"old")
+    seen = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            seen.append((os.fstat(fd).st_ino, path.read_bytes()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with replace_atomically(str(path)) as tmp:
+        with open(tmp, "wb") as f:
+            f.write(b"new")
+    assert seen == [(os.stat(tmp_path).st_ino, b"new")]
 
 
 def test_bad_magic_rejected(tmp_path):

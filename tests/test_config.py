@@ -34,7 +34,7 @@ def test_parse_basic_and_comments():
         "model.stage_channels = 8, 16\n"
         "model.blocks_per_stage = 1, 1\n"
     )
-    cfg = RunConfig.from_raw(raw)
+    cfg = RunConfig(raw)
     assert cfg["schedule.target_k"] == 2
     assert cfg["data.batch_size"] == 64
     assert cfg["model.stage_channels"] == (8, 16)
@@ -59,19 +59,19 @@ def test_missing_equals_rejected():
 def test_bad_value_names_key():
     raw = parse_config_text("run.seed = banana\n")
     with pytest.raises(ConfigError, match="bad value for 'run.seed'"):
-        RunConfig.from_raw(raw)
+        RunConfig(raw)
 
 
 def test_bad_bool_value():
     raw = parse_config_text("data.augment = perhaps\n")
     with pytest.raises(ConfigError, match="data.augment"):
-        RunConfig.from_raw(raw)
+        RunConfig(raw)
 
 
 def test_overrides_win():
     raw = parse_config_text("run.seed = 1\n")
     merged = apply_overrides(raw, ["run.seed=7", "data.batch_size=32"])
-    cfg = RunConfig.from_raw(merged)
+    cfg = RunConfig(merged)
     assert cfg["run.seed"] == 7
     assert cfg["data.batch_size"] == 32
 
@@ -87,20 +87,20 @@ def test_override_without_equals():
 
 
 def test_digest_ignores_ordering_and_comments():
-    a = RunConfig.from_raw(parse_config_text("run.seed = 3\ndata.batch_size = 64\n"))
-    b = RunConfig.from_raw(parse_config_text("# hi\ndata.batch_size = 64\nrun.seed = 3\n"))
+    a = RunConfig(parse_config_text("run.seed = 3\ndata.batch_size = 64\n"))
+    b = RunConfig(parse_config_text("# hi\ndata.batch_size = 64\nrun.seed = 3\n"))
     assert a.digest() == b.digest()
 
 
 def test_digest_changes_with_values():
-    a = RunConfig.from_raw(parse_config_text("run.seed = 3\n"))
-    b = RunConfig.from_raw(parse_config_text("run.seed = 4\n"))
+    a = RunConfig(parse_config_text("run.seed = 3\n"))
+    b = RunConfig(parse_config_text("run.seed = 4\n"))
     assert a.digest() != b.digest()
 
 
 def test_canonical_text_round_trips():
-    cfg = RunConfig.from_raw(parse_config_text("run.seed = 9\noptimizer.lr_base = 0.02\n"))
-    again = RunConfig.from_raw(parse_config_text(cfg.canonical_text()))
+    cfg = RunConfig(parse_config_text("run.seed = 9\noptimizer.lr_base = 0.02\n"))
+    again = RunConfig(parse_config_text(cfg.canonical_text()))
     assert again.digest() == cfg.digest()
     assert again.values == cfg.values
 
@@ -114,7 +114,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_typed_views():
-    cfg = RunConfig.from_raw(parse_config_text(
+    cfg = RunConfig(parse_config_text(
         "model.stage_channels = 4,8\n"
         "model.blocks_per_stage = 1,1\n"
         "model.num_classes = 4\n"
@@ -149,7 +149,7 @@ def test_typed_views():
 ])
 def test_semantic_validation(line):
     with pytest.raises(ConfigError):
-        RunConfig.from_raw(parse_config_text(line + "\n"))
+        RunConfig(parse_config_text(line + "\n"))
 
 
 @pytest.mark.parametrize("name,digest", [
@@ -163,12 +163,12 @@ def test_committed_config_digests_are_pinned(name, digest):
 
 
 def test_data_root_env_fallback(monkeypatch):
-    cfg = RunConfig.from_raw(parse_config_text("data.format = cifar\n"))
+    cfg = RunConfig(parse_config_text("data.format = cifar\n"))
     monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
     assert cfg.data_root() == ""
     monkeypatch.setenv(DATA_ROOT_ENV, "/tmp/somewhere")
     assert cfg.data_root() == "/tmp/somewhere"
-    explicit = RunConfig.from_raw(parse_config_text("data.root = /srv/data\n"))
+    explicit = RunConfig(parse_config_text("data.root = /srv/data\n"))
     assert explicit.data_root() == "/srv/data"
 
 
@@ -203,7 +203,7 @@ def test_list_valued_config_round_trips_and_its_checkpoint_reloads(tmp_path):
     })
     assert cfg["model.stage_channels"] == (4, 8)
     raw = {**parse_config_text(cfg.canonical_text()), "run.out_dir": cfg["run.out_dir"]}
-    assert RunConfig.from_raw(raw).values == cfg.values
+    assert RunConfig(raw).values == cfg.values
     run_schedule(cfg)
     model, cfg_back = model_from_checkpoint(load_checkpoint(str(tmp_path / "run" / "checkpoint.bin")))
     assert cfg_back.digest() == cfg.digest()

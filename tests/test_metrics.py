@@ -81,7 +81,7 @@ def test_resume_truncates_past_cursor(tmp_path):
         for phase in range(3):
             for epoch in (1, 2, 3):
                 w.append(_row(phase, epoch, wall_seconds=phase + epoch / 10))
-    with MetricsWriter(d, keep_rows=5) as w:
+    with MetricsWriter(d, done=5) as w:
         w.append(_row(1, 3, train_loss=0.111))
     rows = read_metrics(os.path.join(d, "metrics.csv"))
     keys = [(r.phase, r.epoch) for r in rows]
@@ -94,7 +94,7 @@ def test_resume_truncates_past_cursor(tmp_path):
 
 def test_resume_with_no_existing_file_is_refused(tmp_path):
     with pytest.raises(FileNotFoundError, match="metrics.csv"):
-        MetricsWriter(str(tmp_path), keep_rows=0)
+        MetricsWriter(str(tmp_path), done=0)
     assert not (tmp_path / "timing.csv").exists()
 
 
@@ -106,7 +106,7 @@ def test_resume_refuses_foreign_header_before_cutting(tmp_path):
     metrics = (tmp_path / "metrics.csv").read_bytes()
     (tmp_path / "timing.csv").write_text("epoch,seconds\n0,1.0\n")
     with pytest.raises(ValueError, match="timing.csv"):
-        MetricsWriter(d, keep_rows=1)
+        MetricsWriter(d, done=1)
     assert (tmp_path / "metrics.csv").read_bytes() == metrics
 
 
