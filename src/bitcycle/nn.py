@@ -1,33 +1,30 @@
 """Neural-network ops on autodiff tensors: conv, batch norm, pooling, losses.
 
 The entry points take NCHW activations and OIHW convolution weights.
-Inside, convolution runs on a zero-padded channel-last copy of the input,
-split into stride phases, with one GEMM per kernel tap: each tap reads one
-contiguous row range of its phase, so no column matrix is built. Forward
-walks the output rows in blocks of ``BLOCK_ELEMS // max(c, o)`` rows and
-runs every tap on a block before moving on, so the block's input and
-accumulator rows stay in cache. Each output element still adds its taps in
-tap order, so the sums are those of one full-height GEMM per tap as long
-as the BLAS rounds a row alike at any GEMM height. Blocks never fall under
-``1200 // min(c, o) + 1`` rows, below which OpenBLAS's small-matrix kernels
-do not. Two corners fall outside that promise: ``dx`` at c = 1, where numpy
-sends the one-column product down a matrix-vector path, and forward with
-few output channels against many inputs (o <= 8 at c = 64, o <= 3 at c = 16
-in float64, o = 1 at c >= 8). There a block split can change the last bits
-of a sum. No shipped conv reaches either corner. The input gradient is a
-gather over the same blocks: each block of phase rows sums, from zero and
-in tap order, the output-gradient rows its taps read, which is what one
-full-height scatter per tap adds. The weight gradient stays one full-height
-GEMM per tap. An input that needs no gradient, such as the image batch,
-gets none computed. Backward rebuilds the padded copy instead of keeping it
-alive, trading a little compute for a smaller peak footprint.
+Inside, convolution runs on a zero-padded batch-inner copy of the input,
+(h, w, n, c) in memory and split into stride phases, so the pixels one
+kernel tap reads for one output image row of the whole batch are a single
+contiguous run of ow*n rows. Each (output row, tap) pair is one GEMM over
+exactly those rows: no column matrix is built and no padding row is
+multiplied. Each output element adds its taps in tap order. The output rows
+are walked in bands of a few rows, each band one batched matmul per tap, so
+the band's input and accumulator rows stay in cache; numpy runs one GEMM
+per stacked row, so the band size never changes a bit. The output is an
+NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input
+gradient is a gather over bands of grid rows: each grid row sums, from zero
+and in tap order, the output-gradient rows its taps read. The weight
+gradient is one GEMM per output row and tap, summed in ascending row order.
+An input that needs no gradient, such as the image batch, gets none
+computed. Backward rebuilds the padded copy instead of keeping it alive,
+trading a little compute for a smaller peak footprint.
 
-Batch norm works on the channel-last (rows, c) view of its input, which is
-free for conv outputs: each per-channel sum is one matrix-vector product
-with a ones vector, and forward and backward each fold into a per-channel
-scale and shift. Its elementwise passes run on the (n*h, w*c) view of the
-same memory against per-channel vectors tiled w times, so each inner loop
-covers a whole image row rather than c elements.
+Batch norm works on the (rows, c) view of its input, which is free for the
+(h, w, n, c) memory conv returns: each per-channel sum is one
+matrix-vector product with a ones vector, and forward and backward each
+fold into a per-channel scale and shift. Its elementwise passes run on the
+(h*w, n*c) view of the same memory against per-channel vectors tiled n
+times, so each inner loop covers a whole pixel of the batch rather than c
+elements. Its output keeps that memory order.
 """
 
 from __future__ import annotations
@@ -36,45 +33,33 @@ import numpy as np
 
 from .tensor import Tensor, _as_tensor, _node
 
-# Convolution walks its output rows in blocks of BLOCK_ELEMS // max(c, o)
-# rows, so one block's input, accumulator and gradient rows stay in cache,
-# but of no fewer than 1200 // min(c, o) + 1 rows (see the module docstring).
+# Convolution walks its output rows in bands of BLOCK_ELEMS // (ow*n*max(c, o))
+# rows (at least one), so a band's input, accumulator and gradient rows stay
+# in cache. The band size is pure speed: it never changes a bit.
 BLOCK_ELEMS = 32768
 
 
-def _padded_phases(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
-                   na: int, nb: int) -> np.ndarray:
-    """Zero-padded channel-last copy of an NCHW batch, split into stride phases.
+def _padded_grid(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
+                 na: int, nb: int) -> np.ndarray:
+    """Zero-padded batch-inner copy of an NCHW batch, split into stride phases.
 
-    Returns an (na, nb, n*hq*wq, c) array. Row (image, q, r) of phase (a, b)
-    holds padded pixel (q*stride + a, r*stride + b), so kernel tap (i, j)
-    reads one contiguous row range of phase (i % stride, j % stride). Only
-    the phases some tap reads (a < na, b < nb) are built, each filled from
-    one strided slice of the input.
+    Returns an (na, nb, hq, wq, n, c) array. Pixel (q, r) of phase (a, b)
+    holds padded pixel (q*stride + a, r*stride + b) of every image, so the
+    pixels one kernel tap reads for one output row are one contiguous run of
+    ow*n rows of c channels. Only the phases some tap reads (a < na, b < nb)
+    are built, each filled from one strided slice of the input.
     """
     n, c, h, w = xd.shape
     s, p = stride, padding
-    ph = np.zeros((na, nb, n, hq, wq, c), dtype=xd.dtype)
-    xl = xd.transpose(0, 2, 3, 1)
+    grid = np.zeros((na, nb, hq, wq, n, c), dtype=xd.dtype)
+    xl = xd.transpose(2, 3, 0, 1)
     for a in range(na):
         q0 = -(-max(p - a, 0) // s)  # first phase row inside the image
         for b in range(nb):
             r0 = -(-max(p - b, 0) // s)
-            v = xl[:, q0 * s + a - p :: s, r0 * s + b - p :: s]
-            ph[a, b, :, q0 : q0 + v.shape[1], r0 : r0 + v.shape[2]] = v
-    return ph.reshape(na, nb, n * hq * wq, c)
-
-
-def _row_blocks(rows: int, blk: int, margin: int):
-    """(start, stop) ranges that split rows into blocks of about blk rows.
-
-    Inner edges sit at least margin + blk rows from either end, so a tap
-    that shifts a block by up to margin rows still multiplies at least blk
-    rows. A BLAS may round a short GEMM with another kernel than a tall one,
-    and a short piece would then change sums the full-height GEMM gives.
-    """
-    edges = [0, *range(margin + blk, rows - margin - blk + 1, blk), rows]
-    return list(zip(edges, edges[1:]))
+            v = xl[q0 * s + a - p :: s, r0 * s + b - p :: s]
+            grid[a, b, q0 : q0 + v.shape[0], r0 : r0 + v.shape[1]] = v
+    return grid
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
@@ -93,51 +78,60 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     oh = (h + 2 * padding - kh) // s + 1
     ow = (w + 2 * padding - kw) // s + 1
     hq, wq = -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
-    na, nb, rows = min(s, kh), min(s, kw), n * hq * wq
-    # tap (i, j) as (phase a, phase b, row offset): output grid row m reads
-    # phase row m + offset. Grid rows outside the valid oh x ow corner hold
-    # garbage in forward and get a zero gradient in backward.
-    taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    na, nb, m = min(s, kh), min(s, kw), ow * n
+    # tap (i, j) as (phase a, phase b, row shift, column shift): output row q
+    # reads grid row q + di of its phase, from column dj on
+    taps = [(i % s, j % s, i // s, j // s) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
-
-    blocks = _row_blocks(rows, max(BLOCK_ELEMS // max(c, o), 1200 // min(c, o) + 1), taps[-1][2])
+    band = max(1, BLOCK_ELEMS // (m * max(c, o)))
     need_dx = x.requires_grad or x._backward is not None
 
-    ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
-    acc = np.empty((rows, o), dtype=np.result_type(xd, wd))
-    for r0, r1 in blocks:
-        np.matmul(ph[0, 0, r0:r1], wk[0], out=acc[r0:r1])
-        for t, (a, b, off) in enumerate(taps[1:], 1):
-            e = min(r1, rows - off)
-            acc[r0:e] += ph[a, b, r0 + off : e + off] @ wk[t]
-    del ph
-    # a compact copy of the valid corner, so the output does not pin the grid
-    out = np.ascontiguousarray(acc.reshape(n, hq, wq, o)[:, :oh, :ow]).transpose(0, 3, 1, 2)
+    def rows(grid, t, q0, q1):
+        # the (q1 - q0, ow*n, c) rows tap t multiplies for output rows q0..q1-1
+        a, b, di, dj = taps[t]
+        return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, m, c)
+
+    # numpy's matmul runs one GEMM per stacked output row, so every output
+    # element adds its taps in tap order whatever the band
+    grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
+    acc = np.empty((oh, m, o), dtype=np.result_type(xd, wd))
+    for q0 in range(0, oh, band):
+        q1 = min(q0 + band, oh)
+        np.matmul(rows(grid, 0, q0, q1), wk[0], out=acc[q0:q1])
+        for t in range(1, len(taps)):
+            acc[q0:q1] += rows(grid, t, q0, q1) @ wk[t]
+    del grid
+    out = acc.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
 
     def backward(g):
-        gf = np.zeros((n, hq, wq, o), dtype=g.dtype)
-        gf[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
-        gf = gf.reshape(rows, o)
-        ph = _padded_phases(xd, s, padding, hq, wq, na, nb)
+        g3 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, m, o)
+        grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
+        # dw: one GEMM per output row and tap, summed in ascending row order
         dwk = np.empty((kh * kw, o, c), dtype=np.result_type(g, xd))
-        for t, (a, b, off) in enumerate(taps):
-            dwk[t] = gf[: rows - off].T @ ph[a, b, off:]
-        del ph
+        for q0 in range(0, oh, band):
+            q1 = min(q0 + band, oh)
+            gt = g3[q0:q1].transpose(0, 2, 1)
+            for t in range(len(taps)):
+                for q, d in enumerate(gt @ rows(grid, t, q0, q1), q0):
+                    dwk[t] = d if q == 0 else dwk[t] + d
+        del grid
         dw = dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         if not need_dx:
             return None, dw
-        # dx as a gather: each block of phase rows sums its taps in tap
-        # order from zero, as one full-height scatter per tap would
-        dph = np.zeros((na, nb, rows, c), dtype=np.result_type(g, wd))
-        for r0, r1 in blocks:
-            for t, (a, b, off) in enumerate(taps):
-                lo = max(r0, off)
-                dph[a, b, lo:r1] += gf[lo - off : r1 - off] @ wk[t].T
-        dpad = np.zeros((n, hq * s, wq * s, c), dtype=dph.dtype)
-        dgrid = dpad.reshape(n, hq, s, wq, s, c)[:, :, :na, :, :nb]
-        dgrid[...] = dph.reshape(na, nb, n, hq, wq, c).transpose(2, 3, 0, 4, 1, 5)
-        dx = dpad[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
-        return dx, dw
+        # dx as a gather: each band of grid rows sums, from zero and in tap
+        # order, the output-gradient rows its taps read. The phases are
+        # strided views of the padded gradient, so no interleaving copy.
+        dpad = np.zeros((hq, s, wq, s, n, c), dtype=np.result_type(g, wd))
+        dgrid = dpad.transpose(1, 3, 0, 2, 4, 5)
+        for r0 in range(0, hq, band):
+            r1 = min(r0 + band, hq)
+            for t, (a, b, di, dj) in enumerate(taps):
+                lo, hi = max(r0, di), min(r1, oh + di)
+                if lo < hi:
+                    d = g3[lo - di : hi - di] @ wk[t].T
+                    dgrid[a, b, lo:hi, dj : dj + ow] += d.reshape(hi - lo, ow, n, c)
+        dx = dpad.reshape(hq * s, wq * s, n, c)[padding : padding + h, padding : padding + w]
+        return dx.transpose(2, 3, 0, 1), dw
 
     return _node(out, (x, weight), backward)
 
@@ -169,12 +163,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     mode normalizes with the running buffers. gamma and beta are the
     learnable scale and shift.
 
-    Both modes work on the (rows, c) row view of the input, which costs no
-    copy for the channel-last memory conv2d returns. Every per-channel sum
+    Both modes work on the (h*w*n, c) row view of the input, which costs no
+    copy for the (h, w, n, c) memory conv2d returns. Every per-channel sum
     is a matrix-vector product on that view. Every per-channel elementwise
-    pass runs on the (n*h, w*c) view of the same memory against the
-    per-channel vector tiled w times (w = 1 for NC input), so numpy's inner
-    loop spans a whole image row instead of c elements. The output is
+    pass runs on the (h*w, n*c) view of the same memory against the
+    per-channel vector tiled n times (NC input stays (n, c)), so numpy's
+    inner loop spans a pixel of the whole batch instead of c elements. The
+    output is an NCHW view of (h, w, n, c) memory. The output is
     ``x * a + b`` with the per-channel scale ``a = gamma / std`` and shift
     ``b = beta - mean * a``, and backward recomputes the normalized input
     rather than keeping it.
@@ -184,17 +179,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm affine params must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}")
-    to_last, from_last = ((0, 1), (0, 1)) if xd.ndim == 2 else ((0, 2, 3, 1), (0, 3, 1, 2))
-    last_shape = xd.transpose(to_last).shape
+    # NCHW as (h, w, n, c) and back: the transpose is its own inverse
+    axes = (0, 1) if xd.ndim == 2 else (2, 3, 0, 1)
+    last_shape = xd.transpose(axes).shape
     wc = c if xd.ndim == 2 else last_shape[2] * c
     channel = np.arange(wc) % c  # the channel of each column of a wide row
 
     def rows(a):
-        # NCHW or NC as (rows, c); a view unless a is not channel-last
-        return a.transpose(to_last).reshape(-1, c)
+        # NCHW or NC as (rows, c); a view unless a is not batch-inner
+        return a.transpose(axes).reshape(-1, c)
 
     def wide(a2):
-        # (rows, c) as (n*h, w*c); a view of contiguous rows
+        # (rows, c) as (h*w, n*c); a view of contiguous rows
         return a2.reshape(-1, wc)
 
     x2 = rows(xd)
@@ -232,9 +228,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
             xhat *= (a * dgamma / n)[channel]
             dx -= xhat
             dx -= (a * dbeta / n)[channel]
-        return dx.reshape(last_shape).transpose(from_last), dgamma, dbeta
+        return dx.reshape(last_shape).transpose(axes), dgamma, dbeta
 
-    return _node(out.reshape(last_shape).transpose(from_last), (x, gamma, beta), backward)
+    return _node(out.reshape(last_shape).transpose(axes), (x, gamma, beta), backward)
 
 
 def _pool_windows(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int, fill: float):

@@ -161,10 +161,11 @@ def evaluate(model: QuantResNet, ds: D.Dataset, batch_size: int,
     """Top-1 and top-5 accuracy plus mean loss over a dataset, eval mode.
 
     Accuracies are exact example counts divided by the dataset size, so
-    the counting is exact at any batch size. The logits are not: a GEMM
-    may round a row differently at another height, so desk k = 1 logits at
-    batch 1 and batch 128 differ by up to 3.8e-6, and a prediction between
-    two logits that close can change with the batch size.
+    the counting is exact at any batch size. The logits are not: a conv
+    GEMM spans ow*n rows and may round a row differently at another height,
+    so desk k = 1 logits at batch 1 and batch 128 differ by up to 3.8e-6
+    (3.3e-7 of the largest logit), and a prediction between two logits that
+    close can change with the batch size.
     """
     if batch_size < 1:
         raise ValueError(f"eval batch size must be at least 1, got {batch_size}")

@@ -74,22 +74,25 @@ class TestConv2d:
                                                    err_msg=f"k={k} stride={stride} pad={pad} {h}x{w}")
 
     def test_channel_last_float32_input(self):
-        # conv and BN outputs are float32 NCHW views of channel-last memory;
-        # such an input must give the contiguous input's results, in float32
+        # conv and BN outputs are float32 NCHW views of (h, w, n, c) memory;
+        # such an input, or a channel-last one, must give the contiguous
+        # input's results, in float32
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 5, 7, 6)).astype(np.float32)
         x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x_bi = np.ascontiguousarray(x.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
         w = rng.standard_normal((4, 5, 3, 3)).astype(np.float32)
         for stride, pad in ((1, 1), (2, 1), (2, 0)):
             grads = []
-            for xin in (x, x_cl):
+            for xin in (x, x_cl, x_bi):
                 xt, wt = Tensor(xin, requires_grad=True), Tensor(w, requires_grad=True)
                 out = conv2d(xt, wt, stride=stride, padding=pad)
                 out.backward(np.ones(out.shape))
                 grads.append((out.data, xt.grad, wt.grad))
-            for a, b in zip(*grads):
-                assert a.dtype == b.dtype == np.float32
-                np.testing.assert_array_equal(a, b)
+            for a, *others in zip(*grads):
+                for b in others:
+                    assert a.dtype == b.dtype == np.float32
+                    np.testing.assert_array_equal(a, b)
             np.testing.assert_allclose(grads[0][0], _naive_conv(x, w, stride, pad), rtol=1e-4, atol=1e-4)
 
     def test_output_holds_no_larger_buffer(self):
@@ -108,70 +111,61 @@ class TestConv2d:
             w = rng.standard_normal((4, 3, k, k))
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
 
-    @staticmethod
-    def _blocked_runs(monkeypatch, x, w, stride, pad, block_elems):
-        """Output, dx, dw and the row blocks conv2d used, per BLOCK_ELEMS value."""
-        real = nn._row_blocks
-        runs = []
-        for elems in block_elems:
-            used = []
-            monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
-            monkeypatch.setattr(nn, "_row_blocks", lambda *a: used.append(real(*a)) or used[-1])
-            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = conv2d(xt, wt, stride=stride, padding=pad)
-            out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(x.dtype))
-            runs.append(((out.data, xt.grad, wt.grad), used[0]))
-        return runs
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_blocks_keep_every_sum(self, monkeypatch, dtype):
-        # blocks only regroup the rows of each tap's GEMM, and every element
-        # keeps its tap order, so a multi-block split is bit-identical to one
-        # block (which makes the GEMM calls of a full-height conv).
-        # BLOCK_ELEMS = 1 leaves the blocks at the floor of 1200 // min(c, o)
-        # + 1 rows. Widths stay under 32: OpenBLAS's small-matrix kernel for
-        # a transposed operand (inner dimension >= 32, under 1200 outputs)
-        # rounds dx differently; test_block_floor_is_exact covers that case.
+    def test_band_size_never_changes_a_bit(self, monkeypatch):
+        # each stacked output row is its own GEMM, forward and dx add their
+        # taps in tap order and dw adds its rows in row order, so bands of
+        # one row, the shipped size and one band for the whole map agree
         rng = np.random.default_rng(15)
-        x = rng.standard_normal((2, 8, 33, 32)).astype(dtype)
-        for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1)):
-            w = rng.standard_normal((16, 8, k, k)).astype(dtype)
-            (split, blocks), (whole, one) = self._blocked_runs(monkeypatch, x, w, stride, pad,
-                                                                (1, 10**9))
-            assert len(one) == 1
-            assert len(blocks) >= 2 and len({r1 - r0 for r0, r1 in blocks}) > 1
-            for a, b in zip(split, whole):
-                np.testing.assert_array_equal(a, b, err_msg=f"k={k} stride={stride} pad={pad}")
-
-    def test_shipped_block_size_is_exact_at_desk_widths(self, monkeypatch):
-        rng = np.random.default_rng(17)
         shipped = nn.BLOCK_ELEMS
-        # (batch, c, o, size, kernel, stride, padding) of desk-model convs
-        for n, c, o, size, k, stride, pad in ((8, 16, 16, 32, 3, 1, 1), (8, 16, 32, 32, 3, 2, 1),
-                                              (16, 128, 128, 4, 3, 1, 1), (64, 64, 128, 8, 1, 2, 0)):
-            x = rng.standard_normal((n, c, size, size)).astype(np.float32)
-            w = rng.standard_normal((o, c, k, k)).astype(np.float32)
-            (split, blocks), (whole, _) = self._blocked_runs(monkeypatch, x, w, stride, pad,
-                                                             (shipped, 10**12))
-            assert len(blocks) >= 2
-            for a, b in zip(split, whole):
-                np.testing.assert_array_equal(a, b, err_msg=f"{c}->{o} k={k} stride={stride}")
+        # (batch, c, o, size, kernel, stride, padding, dtype)
+        shapes = [(2, 8, 16, 33, k, stride, pad, dtype)
+                  for k, stride, pad, dtype in itertools.product((1, 3), (1, 2), (0, 1), (np.float32, np.float64))]
+        shapes += [
+            # desk-model convs at a smaller batch
+            (8, 16, 16, 32, 3, 1, 1, np.float32), (8, 16, 32, 32, 3, 2, 1, np.float32),
+            (16, 128, 128, 4, 3, 1, 1, np.float32), (16, 64, 128, 8, 1, 2, 0, np.float32),
+            (8, 3, 16, 32, 3, 1, 1, np.float32),
+            # one input channel, few outputs against many inputs, narrow inputs
+            (8, 1, 16, 16, 3, 1, 1, np.float32), (8, 64, 8, 16, 3, 1, 1, np.float32),
+            (8, 64, 1, 16, 3, 1, 1, np.float32), (8, 16, 3, 16, 3, 1, 1, np.float64),
+            (8, 2, 64, 16, 3, 1, 1, np.float32), (8, 4, 128, 16, 3, 1, 1, np.float32),
+            # batch 1
+            (1, 16, 16, 32, 3, 1, 1, np.float32), (1, 32, 64, 16, 3, 2, 1, np.float32),
+        ]
+        for n, c, o, size, k, stride, pad, dtype in shapes:
+            x = rng.standard_normal((n, c, size, size - 1)).astype(dtype)
+            w = rng.standard_normal((o, c, k, k)).astype(dtype)
+            runs = []  # output, dx and dw per BLOCK_ELEMS value
+            for elems in (1, shipped, 10**12):
+                monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
+                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+                out = conv2d(xt, wt, stride=stride, padding=pad)
+                out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
+                runs.append((out.data, xt.grad, wt.grad))
+            for a, b, d in zip(*runs):
+                msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
+                np.testing.assert_array_equal(a, d, err_msg=msg)
+                np.testing.assert_array_equal(b, d, err_msg=msg)
 
-    @pytest.mark.parametrize("c, o", [(2, 64), (4, 128)])
-    def test_block_floor_is_exact(self, monkeypatch, c, o):
-        # BLOCK_ELEMS // o rows alone gives blocks of under 1200 // c rows
-        # here, where OpenBLAS's small-matrix kernel rounds dx unlike one
-        # full-height GEMM; the floor of 1200 // min(c, o) + 1 rows keeps
-        # them out of it. c = 1 still differs with the floor, because numpy
-        # sends a product with one output column down a matrix-vector path.
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal((8, c, 16, 16)).astype(np.float32)
-        w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
-        (split, blocks), (whole, _) = self._blocked_runs(monkeypatch, x, w, 1, 1,
-                                                         (nn.BLOCK_ELEMS, 10**12))
-        assert len(blocks) >= 2
-        for a, b in zip(split, whole):
-            np.testing.assert_array_equal(a, b)
+    def test_weight_gradient_matches_float64_at_desk_shapes(self):
+        # dw sums one GEMM per output row; in float32 it stays within a few
+        # float32 ulps of the same sums in float64, relative to its largest entry
+        rng = np.random.default_rng(19)
+        # (c, o, size, kernel, stride, padding) of desk-model convs, batch 128
+        for c, o, size, k, stride, pad in ((3, 16, 32, 3, 1, 1), (16, 16, 32, 3, 1, 1), (16, 32, 32, 3, 2, 1),
+                                           (64, 128, 8, 1, 2, 0), (128, 128, 4, 3, 1, 1)):
+            x = rng.standard_normal((128, c, size, size)).astype(np.float32)
+            w = rng.standard_normal((o, c, k, k)).astype(np.float32)
+            oh = (size + 2 * pad - k) // stride + 1
+            g = rng.standard_normal((128, o, oh, oh)).astype(np.float32)
+            dws = []
+            for dtype in (np.float32, np.float64):
+                wt = Tensor(w.astype(dtype), requires_grad=True)
+                conv2d(Tensor(x.astype(dtype)), wt, stride=stride, padding=pad).backward(g.astype(dtype))
+                dws.append(wt.grad)
+            assert dws[0].dtype == np.float32
+            err = np.abs(dws[0] - dws[1]).max() / np.abs(dws[1]).max()
+            assert err <= 2e-6, f"{c}->{o} k={k} stride={stride}: {err:.2e}"
 
     def test_input_without_grad_gets_no_dx(self):
         rng = np.random.default_rng(18)
@@ -300,26 +294,29 @@ class TestBatchNorm:
             gradcheck(lambda a, g, b: batch_norm(a, g, b, rm, rv, training=training), [x, gamma, beta])
 
     def test_channel_last_float32_input(self):
-        # conv outputs are float32 NCHW views of channel-last memory; such an
-        # input must give its contiguous copy's results bit for bit, in float32
+        # conv outputs are float32 NCHW views of (h, w, n, c) memory; such an
+        # input, or a channel-last one, must give its contiguous copy's
+        # results bit for bit, in float32
         rng = np.random.default_rng(16)
         x = (rng.standard_normal((4, 6, 5, 7)) * 2.0 + 1.0).astype(np.float32)
         x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x_bi = np.ascontiguousarray(x.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
         seed = rng.standard_normal(x.shape).astype(np.float32)
         gamma = rng.standard_normal(6).astype(np.float32)
         beta = rng.standard_normal(6).astype(np.float32)
         for training in (True, False):
             results = []
-            for xin in (x, x_cl):
+            for xin in (x, x_cl, x_bi):
                 rm = Tensor(np.linspace(-0.5, 0.5, 6, dtype=np.float32))
                 rv = Tensor(np.linspace(0.5, 2.0, 6, dtype=np.float32))
                 ts = [Tensor(a, requires_grad=True) for a in (xin, gamma, beta)]
                 out = batch_norm(*ts, rm, rv, training=training)
                 out.backward(seed)
                 results.append((out.data, *(t.grad for t in ts), rm.data, rv.data))
-            for a, b in zip(*results):
-                assert a.dtype == b.dtype == np.float32
-                np.testing.assert_array_equal(a, b)
+            for a, *others in zip(*results):
+                for b in others:
+                    assert a.dtype == b.dtype == np.float32
+                    np.testing.assert_array_equal(a, b)
 
     def test_batch_statistics_match_float64_on_desk_stage0_shape(self):
         # with momentum 1 the running buffers hold this batch's mean and
