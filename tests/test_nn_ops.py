@@ -111,41 +111,69 @@ class TestConv2d:
             w = rng.standard_normal((4, 3, k, k))
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
 
-    def test_band_size_never_changes_a_bit(self, monkeypatch):
-        # each stacked output row is its own GEMM, forward and dx add their
-        # taps in tap order and dw adds its rows in row order, so bands of
-        # one row, the shipped size and one band for the whole map agree
-        rng = np.random.default_rng(15)
+    @staticmethod
+    def _assert_band_size_keeps_bits(monkeypatch, n, c, o, size, k, stride, pad, dtype, seed):
+        """Output, dx and dw at one-row bands, the shipped size and one band
+        for the whole map must agree bit for bit. Returns the number of
+        bands the shipped size cut the forward pass into."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, size, size - 1)).astype(dtype)
+        w = rng.standard_normal((o, c, k, k)).astype(dtype)
+        runs = []  # output, dx and dw per BLOCK_ELEMS value
         shipped = nn.BLOCK_ELEMS
+        for elems in (1, shipped, 10**12):
+            monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv2d(xt, wt, stride=stride, padding=pad)
+            out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
+            runs.append((out.data, xt.grad, wt.grad))
+        monkeypatch.setattr(nn, "BLOCK_ELEMS", shipped)
+        assert runs[0][0].shape[2] >= 2  # one-row bands really split the map
+        for a, b, d in zip(*runs):
+            msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
+            np.testing.assert_array_equal(a, d, err_msg=msg)
+            np.testing.assert_array_equal(b, d, err_msg=msg)
+        oh, ow = runs[0][0].shape[2:]
+        return -(-oh // max(1, shipped // (ow * n * max(c, o))))
+
+    # each stacked output row is its own GEMM, forward and dx add their taps
+    # in tap order and dw adds its rows in row order, so the band size never
+    # changes a bit; the tests below check that over several groups of shapes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_keep_every_sum(self, monkeypatch, dtype):
+        # both kernels, strides and paddings of the models on an odd map
+        for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1)):
+            self._assert_band_size_keeps_bits(monkeypatch, 2, 8, 16, 33, k, stride, pad, dtype, seed=15)
+
+    def test_shipped_block_size_is_exact_at_desk_widths(self, monkeypatch):
+        # (batch, c, o, size, kernel, stride, padding) of desk-model convs at
+        # a smaller batch; the shipped size cuts the 32x32 maps into bands
+        bands = [self._assert_band_size_keeps_bits(monkeypatch, *shape, np.float32, seed=17)
+                 for shape in ((8, 16, 16, 32, 3, 1, 1), (8, 16, 32, 32, 3, 2, 1),
+                               (16, 128, 128, 4, 3, 1, 1), (16, 64, 128, 8, 1, 2, 0))]
+        assert min(bands[:2]) >= 2, bands
+
+    @pytest.mark.parametrize("c, o", [(2, 64), (4, 128)])
+    def test_block_floor_is_exact(self, monkeypatch, c, o):
+        # few input channels against many outputs: the old row-blocked conv
+        # needed a floor on its block height here, because OpenBLAS's
+        # small-matrix kernel rounded dx unlike one full-height GEMM. Bands
+        # of whole output rows need none, down to one row per band.
+        self._assert_band_size_keeps_bits(monkeypatch, 8, c, o, 16, 3, 1, 1, np.float32, seed=18)
+
+    def test_band_size_never_changes_a_bit(self, monkeypatch):
         # (batch, c, o, size, kernel, stride, padding, dtype)
-        shapes = [(2, 8, 16, 33, k, stride, pad, dtype)
-                  for k, stride, pad, dtype in itertools.product((1, 3), (1, 2), (0, 1), (np.float32, np.float64))]
-        shapes += [
-            # desk-model convs at a smaller batch
-            (8, 16, 16, 32, 3, 1, 1, np.float32), (8, 16, 32, 32, 3, 2, 1, np.float32),
-            (16, 128, 128, 4, 3, 1, 1, np.float32), (16, 64, 128, 8, 1, 2, 0, np.float32),
+        for shape in (
+            # the desk model's stem
             (8, 3, 16, 32, 3, 1, 1, np.float32),
             # one input channel, few outputs against many inputs, narrow inputs
             (8, 1, 16, 16, 3, 1, 1, np.float32), (8, 64, 8, 16, 3, 1, 1, np.float32),
             (8, 64, 1, 16, 3, 1, 1, np.float32), (8, 16, 3, 16, 3, 1, 1, np.float64),
-            (8, 2, 64, 16, 3, 1, 1, np.float32), (8, 4, 128, 16, 3, 1, 1, np.float32),
             # batch 1
             (1, 16, 16, 32, 3, 1, 1, np.float32), (1, 32, 64, 16, 3, 2, 1, np.float32),
-        ]
-        for n, c, o, size, k, stride, pad, dtype in shapes:
-            x = rng.standard_normal((n, c, size, size - 1)).astype(dtype)
-            w = rng.standard_normal((o, c, k, k)).astype(dtype)
-            runs = []  # output, dx and dw per BLOCK_ELEMS value
-            for elems in (1, shipped, 10**12):
-                monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
-                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-                out = conv2d(xt, wt, stride=stride, padding=pad)
-                out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
-                runs.append((out.data, xt.grad, wt.grad))
-            for a, b, d in zip(*runs):
-                msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
-                np.testing.assert_array_equal(a, d, err_msg=msg)
-                np.testing.assert_array_equal(b, d, err_msg=msg)
+        ):
+            self._assert_band_size_keeps_bits(monkeypatch, *shape, seed=15)
 
     def test_weight_gradient_matches_float64_at_desk_shapes(self):
         # dw sums one GEMM per output row; in float32 it stays within a few
