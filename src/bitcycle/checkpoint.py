@@ -25,6 +25,7 @@ with os.replace, so a crash never leaves a truncated checkpoint behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -99,7 +100,11 @@ class _Reader:
 
     def string(self) -> str:
         (n,) = struct.unpack("<H", self.take(2))
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.origin}: the string ending at byte {self.pos} "
+                                  f"is not UTF-8 ({e})") from None
 
     def table(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -110,9 +115,13 @@ class _Reader:
                 raise CheckpointError(f"{self.origin}: unknown dtype code {code} for {name!r}")
             shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
             dt = _CODE_DTYPES[code]
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            arr = np.frombuffer(self.take(count * dt.itemsize), dtype=dt).reshape(shape)
-            out[name] = arr.copy()
+            count = math.prod(shape)  # exact: no corrupt shape wraps around to a small count
+            raw = self.take(count * dt.itemsize)
+            try:
+                out[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+            except ValueError as e:  # a shape numpy cannot hold
+                raise CheckpointError(f"{self.origin}: {name!r} has a {ndim}-d shape "
+                                      f"numpy cannot hold ({e})") from None
         return out
 
 
@@ -166,7 +175,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         buf = f.read()
-    r = _Reader(buf, os.path.basename(path))
+    r = _Reader(buf, path)
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{r.origin}: not a checkpoint file (bad magic)")
     version = r.u32()
@@ -178,16 +187,21 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors = r.table()
     opt = r.table()
     (meta_len,) = struct.unpack("<I", r.take(4))
-    metadata = json.loads(r.take(meta_len).decode("utf-8"))
+    try:
+        metadata = json.loads(r.take(meta_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{r.origin}: the metadata is not UTF-8 JSON ({e})") from None
     if r.pos != len(buf):
         raise CheckpointError(f"{r.origin}: trailing bytes start at offset {r.pos}")
-    step = int(opt.pop("step_count", np.array(0)).item())
+    step = opt.pop("step_count", np.array(0))
+    if step.size != 1:
+        raise CheckpointError(f"{r.origin}: step_count holds {step.size} values, not 1")
     return Checkpoint(
         config_digest=digest,
         phase_index=phase_index,
         epochs_done=epochs_done,
         tensors=tensors,
         optimizer_state=opt,
-        step_count=step,
+        step_count=int(step.item()),
         metadata=metadata,
     )

@@ -186,11 +186,13 @@ def read_idx(path: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image file (N x H x W or N x C x H x W) and its 1-d label file.
-
-    The class count is one more than the largest label.
+def load_idx(root: str, split: str = "train") -> Dataset:
+    """Load one split of the IDX corpus in directory root: split "train" reads the
+    train- image and label files, any other split the t10k- pair. Images are
+    N x H x W or N x C x H x W; the class count is one more than the largest label.
     """
+    prefix = os.path.join(root, "train" if split == "train" else "t10k")
+    images_path, labels_path = prefix + "-images-idx3-ubyte", prefix + "-labels-idx1-ubyte"
     images = read_idx(images_path)
     labels = read_idx(labels_path).astype(np.int64)
     if images.ndim == 3:

@@ -63,24 +63,34 @@ def read_metrics(path: str) -> list[MetricsRow]:
     return rows
 
 
-def _prefix_length(path: str, header: str, rows: int) -> int:
-    """Bytes taken by the header and the first `rows` complete lines of path."""
+def _prefix_length(path: str, header: str, rows: int | None = None) -> int:
+    """Bytes taken by the header and the first `rows` complete lines of path, or by
+    every line when rows is None, which refuses a torn last line."""
     with open(path, "rb") as f:
         if f.readline() != header.encode() + b"\n":
             raise ValueError(f"{path} does not start with the header {header!r}")
-        for _ in range(rows):
-            if not f.readline().endswith(b"\n"):
-                raise ValueError(f"cannot resume: {path} holds fewer than the {rows} rows "
+        lines = iter(f.readline, b"") if rows is None else (f.readline() for _ in range(rows))
+        for line in lines:
+            if not line.endswith(b"\n"):
+                raise ValueError(f"{path} ends in a torn line with no final newline" if rows is None
+                                 else f"cannot resume: {path} holds fewer than the {rows} rows "
                                  "the checkpoint covers")
         return f.tell()
 
 
-def check_appendable(path: str, header: str) -> None:
-    """Refuse a csv file a new row cannot join: a foreign header or a torn last line."""
-    _prefix_length(path, header, 0)
-    with open(path, "rb") as f:
-        if not f.read().endswith(b"\n"):
-            raise ValueError(f"{path} ends in a torn line with no final newline")
+def eval_appender(out_dir: str):
+    """Refuse an out_dir/eval.csv a metrics row cannot join; return a function appending
+    one, which makes a missing out_dir and eval.csv and starts a new file with the header."""
+    path = os.path.join(out_dir, "eval.csv")
+    if os.path.exists(path):
+        _prefix_length(path, METRICS_HEADER)
+
+    def append(row: MetricsRow) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "a", newline="") as f:
+            f.write((METRICS_HEADER + "\n" if f.tell() == 0 else "") + row.csv_line() + "\n")
+
+    return append
 
 
 class MetricsWriter:

@@ -156,7 +156,7 @@ def _channel_sums(x2: np.ndarray) -> np.ndarray:
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Channel-wise batch normalization over an NCHW or NC batch.
+    """Channel-wise batch normalization over an NCHW batch.
 
     Training mode normalizes with biased batch statistics and folds an
     unbiased variance estimate into the running buffers in place; eval
@@ -167,26 +167,27 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     copy for the (h, w, n, c) memory conv2d returns. Every per-channel sum
     is a matrix-vector product on that view. Every per-channel elementwise
     pass runs on the (h*w, n*c) view of the same memory against the
-    per-channel vector tiled n times (NC input stays (n, c)), so numpy's
-    inner loop spans a pixel of the whole batch instead of c elements. The
-    output is an NCHW view of (h, w, n, c) memory. The output is
-    ``x * a + b`` with the per-channel scale ``a = gamma / std`` and shift
-    ``b = beta - mean * a``, and backward recomputes the normalized input
-    rather than keeping it.
+    per-channel vector tiled n times, so numpy's inner loop spans a pixel of
+    the whole batch instead of c elements. The output is an NCHW view of
+    (h, w, n, c) memory. It is ``x * a + b`` with the per-channel scale
+    ``a = gamma / std`` and shift ``b = beta - mean * a``, and backward
+    recomputes the normalized input rather than keeping it.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
+    if xd.ndim != 4:
+        raise ValueError(f"batch_norm takes an NCHW batch, got shape {xd.shape}")
     c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm affine params must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}")
     # NCHW as (h, w, n, c) and back: the transpose is its own inverse
-    axes = (0, 1) if xd.ndim == 2 else (2, 3, 0, 1)
+    axes = (2, 3, 0, 1)
     last_shape = xd.transpose(axes).shape
-    wc = c if xd.ndim == 2 else last_shape[2] * c
+    wc = last_shape[2] * c
     channel = np.arange(wc) % c  # the channel of each column of a wide row
 
     def rows(a):
-        # NCHW or NC as (rows, c); a view unless a is not batch-inner
+        # NCHW as (rows, c); a view unless a is not batch-inner
         return a.transpose(axes).reshape(-1, c)
 
     def wide(a2):

@@ -27,7 +27,7 @@ import numpy as np
 # perfbench/tracer.py wraps these names in this module's namespace; keep them imported here.
 from . import data as D
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, replace_atomically, save_checkpoint
-from .config import ConfigError, RunConfig, parse_config_text
+from .config import ConfigError, RunConfig, parse_config_text, typed_values
 from .metrics import MetricsRow, MetricsWriter, read_metrics
 from .models import QuantResNet, build_model, transfer_weights
 from .nn import softmax_cross_entropy
@@ -106,11 +106,6 @@ def plan_phases(cfg: RunConfig) -> list[Phase]:
 # ----------------------------------------------------------------------
 # data plumbing
 
-# split -> (images file, labels file) under data.root, for data.format = idx
-_IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-              "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
-
-
 def load_split(cfg: RunConfig, split: str) -> D.Dataset:
     """Load one split, "train" or "test", of the configured corpus; it must fit the model."""
     fmt = cfg["data.format"]
@@ -131,10 +126,7 @@ def load_split(cfg: RunConfig, split: str) -> D.Dataset:
                 "no data root configured: set data.root or the "
                 "BITCYCLE_DATA environment variable"
             )
-        if fmt == "cifar":
-            ds = D.load_cifar(root, split)
-        else:
-            ds = D.load_idx(*(os.path.join(root, name) for name in _IDX_FILES[split]))
+        ds = (D.load_cifar if fmt == "cifar" else D.load_idx)(root, split)
     subset = cfg["data.train_per_class" if split == "train" else "data.eval_per_class"]
     if subset > 0:
         ds = D.balanced_subset(ds, subset, seed)
@@ -253,10 +245,34 @@ def _model_at(cfg: RunConfig, bit_depth: int, tensors: dict, origin: str) -> Qua
     return model
 
 
-def model_from_checkpoint(ck: Checkpoint) -> tuple[QuantResNet, RunConfig]:
-    """Rebuild the exact network a checkpoint was taken from."""
-    cfg = RunConfig(parse_config_text(ck.metadata["config"], origin="<checkpoint>"))
-    return _model_at(cfg, int(ck.metadata["bit_depth"]), ck.tensors, "checkpoint"), cfg
+def _checkpoint_phase(ck: Checkpoint, phases: list[Phase], origin: str) -> Phase:
+    """The phase ck was taken in; refuses a cursor or bit depth the plan does not hold."""
+    if not 0 <= ck.phase_index < len(phases):
+        raise CheckpointError(f"{origin}: phase index {ck.phase_index} is not one of the "
+                              f"plan's {len(phases)} phases")
+    phase = phases[ck.phase_index]
+    if not 0 <= ck.epochs_done <= phase.epochs:
+        raise CheckpointError(f"{origin}: {ck.epochs_done} epochs done is outside phase "
+                              f"{phase.index}'s 0..{phase.epochs}")
+    if ck.metadata.get("bit_depth") != phase.bit_depth:
+        raise CheckpointError(f"{origin}: bit depth {ck.metadata.get('bit_depth')!r} is not "
+                              f"phase {phase.index}'s {phase.bit_depth}")
+    return phase
+
+
+def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[QuantResNet, RunConfig]:
+    """Rebuild the exact network a checkpoint was taken from; each refusal names origin."""
+    try:
+        cfg = RunConfig(typed_values(parse_config_text(ck.metadata["config"], "config"), "config"))
+    except KeyError as e:
+        raise CheckpointError(f"{origin}: the metadata has no {e} entry") from None
+    except ValueError as e:
+        raise CheckpointError(f"{origin}: {e}") from None
+    if cfg.digest() != ck.config_digest:
+        raise CheckpointError(f"{origin}: the config text does not hash to the config digest "
+                              f"{ck.config_digest[:12]}")
+    phase = _checkpoint_phase(ck, plan_phases(cfg), origin)
+    return _model_at(cfg, phase.bit_depth, ck.tensors, origin), cfg
 
 
 def _non_finite(what: str, phase: Phase, epoch: int, iteration: int) -> NonFiniteLossError:
@@ -307,14 +323,23 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         loaded = load_checkpoint(ckpt_path)
         if loaded.config_digest != cfg.digest():
             raise CheckpointError(
-                "cannot resume: checkpoint was produced by a different config "
+                f"cannot resume: {ckpt_path} was produced by a different config "
                 f"(digest {loaded.config_digest[:12]}, expected {cfg.digest()[:12]})"
             )
-        at = phases[loaded.phase_index]
+        at = _checkpoint_phase(loaded, phases, ckpt_path)
+        per_epoch = len(train.labels) // batch_size
         done = _epochs_before(phases, at.index) + loaded.epochs_done
-        iteration = int(loaded.metadata["iteration"])
+        iteration = done * per_epoch
+        mid_phase = loaded.epochs_done < at.epochs
+        if not (loaded.epochs_done >= 1
+                and loaded.metadata.get("iteration") == iteration
+                and (not mid_phase or loaded.step_count == loaded.epochs_done * per_epoch)):
+            raise CheckpointError(
+                f"cannot resume: {ckpt_path} holds epoch {loaded.epochs_done}, iteration "
+                f"{loaded.metadata.get('iteration')!r} and optimizer step {loaded.step_count} "
+                f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
         model = _model_at(cfg, at.bit_depth, loaded.tensors, ckpt_path)
-        if 0 < loaded.epochs_done < at.epochs:
+        if mid_phase:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
             optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),

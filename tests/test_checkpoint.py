@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import stat
 
@@ -215,3 +216,54 @@ def test_metadata_survives_nested(tmp_path):
     ck.metadata = meta
     save_checkpoint(path, ck)
     assert load_checkpoint(path).metadata == meta
+
+
+def _corrupt(path, at, value):
+    blob = bytearray(open(path, "rb").read())
+    blob[at] = value
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+
+
+def test_a_string_that_is_not_utf8_names_the_file(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(path, _sample())
+    _corrupt(path, 10, 0xFF)  # the digest's first byte
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: the string ending at byte 74 is not UTF-8")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("byte", [0xFF, ord("}")], ids=["not-utf8", "not-json"])
+def test_metadata_that_does_not_decode_names_the_file(tmp_path, byte):
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(path, _sample())
+    _corrupt(path, os.path.getsize(path) - 2, byte)  # the metadata's last value
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: the metadata is not UTF-8 JSON")):
+        load_checkpoint(path)
+
+
+def _splice(path, old, new):
+    blob = open(path, "rb").read()
+    assert blob.count(old) == 1
+    with open(path, "wb") as f:
+        f.write(blob.replace(old, new))
+
+
+def test_a_shape_numpy_cannot_hold_names_the_file(tmp_path):
+    # tensor "t" of shape (0,) is made to claim 65 zero-length dimensions
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(path, Checkpoint(config_digest="d", phase_index=0, epochs_done=0,
+                                     tensors={"t": np.zeros(0, np.float32)}))
+    _splice(path, b"\x01\x00t\x00\x01" + bytes(4), b"\x01\x00t\x00\x41" + bytes(4 * 65))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: 't' has a 65-d shape")):
+        load_checkpoint(path)
+
+
+def test_a_step_count_of_two_values_names_the_file(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(path, _sample())
+    step = (421).to_bytes(8, "little")
+    _splice(path, b"step_count\x02\x00" + step,
+            b"step_count\x02\x01" + (2).to_bytes(4, "little") + step * 2)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: step_count holds 2 values")):
+        load_checkpoint(path)

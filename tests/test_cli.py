@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shutil
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import bitcycle
+from bitcycle.checkpoint import load_checkpoint, save_checkpoint
 from bitcycle.cli import _THREAD_VARS, main
 from bitcycle.config import file_values
 from bitcycle.metrics import read_metrics
@@ -357,3 +359,69 @@ def test_eval_refuses_an_eval_csv_with_a_torn_last_line(tiny_cfg, tmp_path, caps
     assert err.startswith("error:") and path in err
     with open(path, "rb") as f:
         assert f.read() == torn
+
+
+SMOKE_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "configs", "smoke_synth.cfg")
+
+
+@pytest.fixture(scope="module")
+def smoke_checkpoint(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("smoke") / "run")
+    assert main(["train", "--config", SMOKE_CFG, "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "checkpoint.bin"), "rb") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda meta: meta.update(config=meta["config"].replace("synth_size = 12", "synth_size = 14")),
+     "the config text does not hash to the config digest"),
+    (lambda meta: meta.pop("config"), "the metadata has no 'config' entry"),
+    (lambda meta: meta.pop("normalization"), "the metadata holds no normalization for 3 channels"),
+    (lambda meta: meta["normalization"]["mean"].append(0.5),
+     "no normalization for 3 channels (ValueError: mean and std hold 4 and 3 values)"),
+], ids=["digest", "no-config", "no-normalization", "four-means"])
+def test_eval_refuses_checkpoint_metadata_that_does_not_fit(
+        tmp_path, capsys, smoke_checkpoint, corrupt, expected):
+    path = str(tmp_path / "checkpoint.bin")
+    (tmp_path / "checkpoint.bin").write_bytes(smoke_checkpoint)
+    ck = load_checkpoint(path)
+    corrupt(ck.metadata)
+    save_checkpoint(path, ck)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and expected in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+def test_eval_of_a_checkpoint_with_one_flipped_byte(tmp_path, capsys, smoke_checkpoint):
+    # every 7th byte of the header and the first tensors, and every 13th from
+    # the metadata block (its length field included) on; payload flips that
+    # still parse evaluate, and the rest must be refused with an error line
+    # that names the file
+    (tmp_path / "good.bin").write_bytes(smoke_checkpoint)
+    meta = json.dumps(load_checkpoint(str(tmp_path / "good.bin")).metadata,
+                      sort_keys=True, separators=(",", ":")).encode()
+    start = len(smoke_checkpoint) - len(meta) - 4
+    offsets = [*range(0, 400, 7), *range(start, len(smoke_checkpoint), 13)]
+    path = str(tmp_path / "flipped.bin")
+    out = str(tmp_path / "out")
+    unnamed, crashed, refused = [], [], 0
+    for at in offsets:
+        blob = bytearray(smoke_checkpoint)
+        blob[at] ^= 0x01
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            rc = main(["eval", "--checkpoint", path, "--out", out])
+        except Exception as e:  # a traceback from the command line
+            crashed.append((at, repr(e)))
+            continue
+        err = capsys.readouterr().err
+        if rc != 0:
+            refused += 1
+            if path not in err:
+                unnamed.append((at, err))
+    assert (crashed, unnamed) == ([], [])
+    assert len(offsets) == 147 and refused >= 100

@@ -142,9 +142,9 @@ class TestIdx:
     def test_mnist_style_header(self, tmp_path):
         imgs = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
         labels = np.array([1, 0], dtype=np.uint8)
-        write_idx(tmp_path / "t-images-idx3-ubyte", imgs)
-        write_idx(tmp_path / "t-labels-idx1-ubyte", labels)
-        ds = load_idx(str(tmp_path / "t-images-idx3-ubyte"), str(tmp_path / "t-labels-idx1-ubyte"))
+        write_idx(tmp_path / "train-images-idx3-ubyte", imgs)
+        write_idx(tmp_path / "train-labels-idx1-ubyte", labels)
+        ds = load_idx(str(tmp_path), "train")
         assert ds.images.shape == (2, 1, 4, 4)
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
@@ -156,16 +156,16 @@ class TestIdx:
             read_idx(str(p))
 
     def test_empty_tensor_is_fine(self, tmp_path):
-        write_idx(tmp_path / "e-images-idx3-ubyte", np.zeros((0, 3, 3), dtype=np.uint8))
-        write_idx(tmp_path / "e-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
-        ds = load_idx(str(tmp_path / "e-images-idx3-ubyte"), str(tmp_path / "e-labels-idx1-ubyte"))
+        write_idx(tmp_path / "t10k-images-idx3-ubyte", np.zeros((0, 3, 3), dtype=np.uint8))
+        write_idx(tmp_path / "t10k-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+        ds = load_idx(str(tmp_path), "test")
         assert len(ds) == 0
 
     def test_count_mismatch(self, tmp_path):
-        write_idx(tmp_path / "m-images-idx3-ubyte", np.zeros((3, 2, 2), dtype=np.uint8))
-        write_idx(tmp_path / "m-labels-idx1-ubyte", np.zeros(2, dtype=np.uint8))
+        write_idx(tmp_path / "train-images-idx3-ubyte", np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx(tmp_path / "train-labels-idx1-ubyte", np.zeros(2, dtype=np.uint8))
         with pytest.raises(ValueError, match="images but"):
-            load_idx(str(tmp_path / "m-images-idx3-ubyte"), str(tmp_path / "m-labels-idx1-ubyte"))
+            load_idx(str(tmp_path), "train")
 
     def test_payload_size_checked(self, tmp_path):
         p = tmp_path / "short"

@@ -311,15 +311,11 @@ class TestBatchNorm:
         rv = Tensor(rng.uniform(0.5, 2.0, 3))
         gradcheck(lambda a, g, b: batch_norm(a, g, b, rm, rv, training=False), [x, gamma, beta])
 
-    def test_gradcheck_nc_input(self):
-        rng = np.random.default_rng(15)
-        for training in (True, False):
-            x = rng.standard_normal((6, 4))
-            gamma = rng.standard_normal(4)
-            beta = rng.standard_normal(4)
-            rm = Tensor(rng.standard_normal(4))
-            rv = Tensor(rng.uniform(0.5, 2.0, 4))
-            gradcheck(lambda a, g, b: batch_norm(a, g, b, rm, rv, training=training), [x, gamma, beta])
+    @pytest.mark.parametrize("shape", [(6, 4), (6, 4, 5), (2, 4, 3, 3, 1)])
+    def test_refuses_a_batch_that_is_not_nchw(self, shape):
+        rm, rv = _bn_buffers(4)
+        with pytest.raises(ValueError, match="NCHW"):
+            batch_norm(Tensor(np.ones(shape)), Tensor(np.ones(4)), Tensor(np.zeros(4)), rm, rv, training=True)
 
     def test_channel_last_float32_input(self):
         # conv outputs are float32 NCHW views of (h, w, n, c) memory; such an

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 
 import numpy as np
@@ -454,6 +455,34 @@ def test_resume_checks_model_tensors(tmp_path, corrupt, expected):
     assert {f: (out / f).read_bytes() for f in before} == before
 
 
+# The tiny plan's final phase (index 4) has 3 epochs of 2 iterations; the
+# checkpoint taken after its first epoch holds epoch 1, iteration 10, step 2.
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda ck: setattr(ck, "phase_index", 99), "phase index 99 is not one of the plan's 5 phases"),
+    (lambda ck: setattr(ck, "phase_index", -1), "phase index -1 is not one of the plan's 5 phases"),
+    (lambda ck: setattr(ck, "epochs_done", -3), "-3 epochs done is outside phase 4's 0..3"),
+    (lambda ck: setattr(ck, "epochs_done", 0), "holds epoch 0, iteration 10"),
+    (lambda ck: setattr(ck, "epochs_done", 4), "4 epochs done is outside phase 4's 0..3"),
+    (lambda ck: ck.metadata.update(iteration=11), "holds epoch 1, iteration 11 and optimizer step 2"),
+    (lambda ck: setattr(ck, "step_count", 3), "holds epoch 1, iteration 10 and optimizer step 3"),
+], ids=["phase-past-the-plan", "phase-negative", "epochs-negative", "epochs-zero",
+        "epochs-past-the-phase", "iteration", "optimizer-step"])
+def test_resume_refuses_a_cursor_the_plan_does_not_hold(tmp_path, corrupt, expected):
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(6))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    assert (ck.phase_index, ck.epochs_done, ck.metadata["iteration"], ck.step_count) == (4, 1, 10, 2)
+    corrupt(ck)
+    save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert path in str(err.value) and expected in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
 def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
     # a NaN pixel in the second batch of global epoch 2 (phase 2, its first
     # epoch; two batches per epoch) makes that step's loss NaN
@@ -646,6 +675,42 @@ def test_misshaped_checkpoint_tensor_is_named(tmp_path):
     with pytest.raises(ValueError) as err:
         model_from_checkpoint(ck)
     assert f"('fc.weight', {bad}, {good})" in str(err.value)
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda meta: meta.update(config=meta["config"].replace("synth_size = 12", "synth_size = 14")),
+     "the config text does not hash to the config digest"),
+    (lambda meta: meta.update(config=meta["config"].replace("run.seed", "run.sead")),
+     "config:27: unknown key 'run.sead'"),
+    (lambda meta: meta.update(config=meta["config"].replace("augment = true", "augment = maybe")),
+     "config: bad value for 'data.augment'"),
+    (lambda meta: meta.update(config=meta["config"].replace("kind = adam", "kind = adamw")),
+     "invalid config: optimizer kind"),
+    (lambda meta: meta.pop("config"), "the metadata has no 'config' entry"),
+    (lambda meta: meta.update(bit_depth=4), "bit depth 4 is not phase 0's 2"),
+    (lambda meta: meta.pop("bit_depth"), "bit depth None is not phase 0's 2"),
+], ids=["digest", "unknown-key", "bad-value", "invalid", "no-config", "bit-depth", "no-bit-depth"])
+def test_model_from_checkpoint_names_the_file(tmp_path, corrupt, expected):
+    _run(tmp_path, "run", **{"schedule.mode": "single", "schedule.bit_depth": 2,
+                             "schedule.epochs": 1})
+    ck = load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
+    corrupt(ck.metadata)
+    with pytest.raises(CheckpointError) as err:
+        model_from_checkpoint(ck, "runs/x/checkpoint.bin")
+    assert str(err.value).startswith("runs/x/checkpoint.bin") and expected in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("phase_index", 1, "ck.bin: phase index 1 is not one of the plan's 1 phases"),
+    ("epochs_done", 2, "ck.bin: 2 epochs done is outside phase 0's 0..1"),
+    ("epochs_done", -1, "ck.bin: -1 epochs done is outside phase 0's 0..1"),
+])
+def test_model_from_checkpoint_refuses_a_cursor_past_the_plan(tmp_path, field, value, expected):
+    _run(tmp_path, "run", **{"schedule.mode": "single", "schedule.epochs": 1})
+    ck = load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
+    setattr(ck, field, value)
+    with pytest.raises(CheckpointError, match=re.escape(expected)):
+        model_from_checkpoint(ck, "ck.bin")
 
 
 def test_batch_size_larger_than_train_set_rejected(tmp_path):
