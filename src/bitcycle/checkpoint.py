@@ -28,7 +28,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -135,17 +134,18 @@ def _fsync(path: str) -> None:
 
 @contextmanager
 def replace_atomically(path: str):
-    """Yield a temp path beside path; on success it replaces path, on failure it is removed.
+    """Yield the temp path path + ".tmp"; on success it replaces path, on failure it is removed.
 
-    The temp file's bytes reach the disk (fsync) before the rename, so a
-    crash cannot leave path naming a file whose contents were never written,
-    and the directory is fsynced after it, so the rename itself survives a
-    power failure.
+    The temp name is fixed, so a temp file a killed process left behind is
+    overwritten and renamed by the next save of the same path. The temp
+    file's bytes reach the disk (fsync) before the rename, so a crash cannot
+    leave path naming a file whose contents were never written, and the
+    directory is fsynced after it, so the rename itself survives a power
+    failure.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    tmp = path + ".tmp"
     try:
         yield tmp
         _fsync(tmp)

@@ -119,6 +119,11 @@ class MetricsWriter:
         self._metrics.flush()
         self._timing.flush()
 
+    def sync(self) -> None:
+        """Put both files' rows on disk, so a checkpoint never outlives the rows it covers."""
+        os.fsync(self._metrics.fileno())
+        os.fsync(self._timing.fileno())
+
     def close(self) -> None:
         self._metrics.close()
         self._timing.close()

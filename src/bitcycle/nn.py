@@ -4,19 +4,30 @@ The entry points take NCHW activations and OIHW convolution weights.
 Inside, convolution runs on a zero-padded batch-inner copy of the input,
 (h, w, n, c) in memory and split into stride phases, so the pixels one
 kernel tap reads for one output image row of the whole batch are a single
-contiguous run of ow*n rows. Each (output row, tap) pair is one GEMM over
-exactly those rows: no column matrix is built and no padding row is
-multiplied. Each output element adds its taps in tap order. The output rows
-are walked in bands of a few rows, each band one batched matmul per tap, so
-the band's input and accumulator rows stay in cache; numpy runs one GEMM
-per stacked row, so the band size never changes a bit. The output is an
-NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input
-gradient is a gather over bands of grid rows: each grid row sums, from zero
-and in tap order, the output-gradient rows its taps read. The weight
-gradient is one GEMM per output row and tap, summed in ascending row order.
-An input that needs no gradient, such as the image batch, gets none
-computed. Backward rebuilds the padded copy instead of keeping it alive,
-trading a little compute for a smaller peak footprint.
+contiguous run of ow*n rows. Each (output row, tap) pair multiplies exactly
+those rows: no column matrix is built and no padding row is multiplied.
+The ow*n rows are cut into P equal pieces, one GEMM each. P is worked out
+from the shape alone (`_gemm_pieces`): the fewest pieces that keep each
+call's rows*c*o within GEMM_ELEMS, so every call runs in OpenBLAS's
+small-matrix kernel, or 1 where the pieces would be shorter than
+GEMM_MIN_ROWS rows. Each output element adds its taps in tap order. The
+output rows are walked in bands of a few rows, each band one batched matmul
+per tap, so the band's input and accumulator rows stay in cache; numpy runs
+one GEMM per stacked piece, so the band size never changes a bit. The
+output is an NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input gradient is a gather over bands of grid
+rows: each grid row sums, from zero and in tap order, the output-gradient
+pieces its taps read, times a contiguous (taps, o, c) copy of the weight.
+The weight gradient is one GEMM per output row, piece and tap, summed in
+ascending (row, piece) order. An input that needs no gradient, such as the
+image batch, gets none computed. Backward rebuilds the padded copy instead
+of keeping it alive, trading a little compute for a smaller peak footprint.
+
+P keeps the output and the input gradient bit for bit under OpenBLAS's
+SkylakeX kernels, which give a GEMM row the same bits in a call of any
+height. The weight gradient sums its ow*n rows piece by piece, so P moves
+it by rounding (under 1e-6 of its largest entry at the desk shapes).
+Haswell kernels round a row by its place in the call, so there P moves the
+output and the input gradient by rounding too.
 
 Batch norm works on the (rows, c) view of its input, which is free for the
 (h, w, n, c) memory conv returns: each per-channel sum is one
@@ -37,6 +48,22 @@ from .tensor import Tensor, _as_tensor, _node
 # rows (at least one), so a band's input, accumulator and gradient rows stay
 # in cache. The band size is pure speed: it never changes a bit.
 BLOCK_ELEMS = 32768
+# Each conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
+# power of two under the M*N*K = 10**6 up to which SkylakeX OpenBLAS takes its
+# small-matrix kernel: one (4096, 16) @ (16, 16) call took 37 us on one
+# thread, its two 2048-row halves 22 us. Pieces under GEMM_MIN_ROWS rows do
+# not pay: 32-row pieces made a c = o = 128 conv at batch 128 slower, not
+# faster (forward and backward 29.0 -> 30.9 ms).
+GEMM_ELEMS = 2**19
+GEMM_MIN_ROWS = 64
+
+
+def _gemm_pieces(m: int, c: int, o: int) -> int:
+    """The equal pieces m GEMM rows are cut into, each call's rows*c*o within GEMM_ELEMS."""
+    p = max(1, -(-m * c * o // GEMM_ELEMS))
+    while m % p:
+        p += 1
+    return p if m // p >= GEMM_MIN_ROWS else 1
 
 
 def _padded_grid(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
@@ -84,17 +111,20 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     taps = [(i % s, j % s, i // s, j // s) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
     band = max(1, BLOCK_ELEMS // (m * max(c, o)))
+    pieces = _gemm_pieces(m, c, o)
+    pm = m // pieces
     need_dx = x.requires_grad or x._backward is not None
 
     def rows(grid, t, q0, q1):
-        # the (q1 - q0, ow*n, c) rows tap t multiplies for output rows q0..q1-1
+        # the rows tap t multiplies for output rows q0..q1-1, as (q1 - q0,
+        # pieces, pm, c): every output row's ow*n rows cut into equal pieces
         a, b, di, dj = taps[t]
-        return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, m, c)
+        return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, pieces, pm, c)
 
-    # numpy's matmul runs one GEMM per stacked output row, so every output
+    # numpy's matmul runs one GEMM per stacked piece, so every output
     # element adds its taps in tap order whatever the band
     grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
-    acc = np.empty((oh, m, o), dtype=np.result_type(xd, wd))
+    acc = np.empty((oh, pieces, pm, o), dtype=np.result_type(xd, wd))
     for q0 in range(0, oh, band):
         q1 = min(q0 + band, oh)
         np.matmul(rows(grid, 0, q0, q1), wk[0], out=acc[q0:q1])
@@ -104,23 +134,28 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     out = acc.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
 
     def backward(g):
-        g3 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, m, o)
+        g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
         grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
-        # dw: one GEMM per output row and tap, summed in ascending row order
+        # dw: one GEMM per output row, piece and tap, summed in ascending
+        # (row, piece) order
         dwk = np.empty((kh * kw, o, c), dtype=np.result_type(g, xd))
         for q0 in range(0, oh, band):
             q1 = min(q0 + band, oh)
-            gt = g3[q0:q1].transpose(0, 2, 1)
+            gt = g4[q0:q1].transpose(0, 1, 3, 2)
             for t in range(len(taps)):
-                for q, d in enumerate(gt @ rows(grid, t, q0, q1), q0):
-                    dwk[t] = d if q == 0 else dwk[t] + d
+                d = gt @ rows(grid, t, q0, q1)
+                for i, piece in enumerate(d.reshape(-1, o, c)):
+                    dwk[t] = piece if q0 == i == 0 else dwk[t] + piece
         del grid
         dw = dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         if not need_dx:
             return None, dw
         # dx as a gather: each band of grid rows sums, from zero and in tap
         # order, the output-gradient rows its taps read. The phases are
-        # strided views of the padded gradient, so no interleaving copy.
+        # strided views of the padded gradient, so no interleaving copy. The
+        # weight is copied to (taps, o, c): the capped pieces gain only
+        # against a contiguous operand, not the transposed view.
+        wkt = np.ascontiguousarray(wk.transpose(0, 2, 1))
         dpad = np.zeros((hq, s, wq, s, n, c), dtype=np.result_type(g, wd))
         dgrid = dpad.transpose(1, 3, 0, 2, 4, 5)
         for r0 in range(0, hq, band):
@@ -128,7 +163,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
             for t, (a, b, di, dj) in enumerate(taps):
                 lo, hi = max(r0, di), min(r1, oh + di)
                 if lo < hi:
-                    d = g3[lo - di : hi - di] @ wk[t].T
+                    d = g4[lo - di : hi - di] @ wkt[t]
                     dgrid[a, b, lo:hi, dj : dj + ow] += d.reshape(hi - lo, ow, n, c)
         dx = dpad.reshape(hq * s, wq * s, n, c)[padding : padding + h, padding : padding + w]
         return dx.transpose(2, 3, 0, 1), dw

@@ -102,12 +102,15 @@ def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"activation bit depth must be >= 1, got {k}")
     levels = float(2 ** k - 1)
     # clip makes the one new array (float even for integer input); the
-    # lattice snap then runs in place on it
+    # lattice snap then runs in place on it. At k = 1 (one level) the scale
+    # and unscale are exact no-ops, so they are skipped.
     q = np.asarray(np.clip(x, 0.0, 1.0))
-    q *= levels
+    if k > 1:
+        q *= levels
     q += 0.5
     np.floor(q, out=q)
-    q /= levels
+    if k > 1:
+        q /= levels
     return q
 
 

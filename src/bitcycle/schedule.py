@@ -153,11 +153,12 @@ def evaluate(model: QuantResNet, ds: D.Dataset, batch_size: int,
     """Top-1 and top-5 accuracy plus mean loss over a dataset, eval mode.
 
     Accuracies are exact example counts divided by the dataset size, so
-    the counting is exact at any batch size. The logits are not: a conv
-    GEMM spans ow*n rows and may round a row differently at another height,
-    so desk k = 1 logits at batch 1 and batch 128 differ by up to 3.8e-6
-    (3.3e-7 of the largest logit), and a prediction between two logits that
-    close can change with the batch size.
+    the counting is exact at any batch size. The logits are not: a GEMM
+    may round a row differently in a call of another height, so desk k = 1
+    logits at batch 1 and batch 128 differ by up to 4.8e-6 (3.5e-7 of the
+    largest logit, three seeded untrained models on 128 synthetic images),
+    and a prediction between two logits that close can change with the
+    batch size.
     """
     if batch_size < 1:
         raise ValueError(f"eval batch size must be at least 1, got {batch_size}")
@@ -225,10 +226,20 @@ def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
     )
     save_checkpoint(path, ck)
     if snapshot:
-        # end-of-phase snapshots stay around; checkpoint.bin is the rolling latest
-        snapshot_path = os.path.join(os.path.dirname(path), f"checkpoint_phase{phase.index:03d}.bin")
-        with replace_atomically(snapshot_path) as tmp:
-            shutil.copyfile(path, tmp)
+        _snapshot(path, phase.index)
+
+
+def _snapshot(ckpt_path: str, index: int) -> None:
+    """Copy checkpoint.bin to phase index's end-of-phase snapshot.
+
+    The snapshots stay around; checkpoint.bin is the rolling latest.
+    """
+    with replace_atomically(_snapshot_path(ckpt_path, index)) as tmp:
+        shutil.copyfile(ckpt_path, tmp)
+
+
+def _snapshot_path(ckpt_path: str, index: int) -> str:
+    return os.path.join(os.path.dirname(ckpt_path), f"checkpoint_phase{index:03d}.bin")
 
 
 def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> None:
@@ -339,6 +350,9 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 f"{loaded.metadata.get('iteration')!r} and optimizer step {loaded.step_count} "
                 f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
         model = _model_at(cfg, at.bit_depth, loaded.tensors, ckpt_path)
+        if not mid_phase and not os.path.exists(_snapshot_path(ckpt_path, at.index)):
+            # a crash after checkpoint.bin's rename and before its snapshot's
+            _snapshot(ckpt_path, at.index)
         if mid_phase:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
             optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
@@ -415,6 +429,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 periodic = (phase.part in ("final", "single")
                             and (epoch + 1) % checkpoint_every == 0)
                 if end_of_phase or periodic:
+                    writer.sync()
                     _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
                                       epoch + 1, iteration, norm, train.name,
                                       snapshot=end_of_phase)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from bitcycle.nn import (
 from bitcycle.tensor import Tensor
 
 from gradcheck import gradcheck
+from test_golden import blas_core
 
 
 def _bn_buffers(c, dtype=np.float32):
@@ -112,33 +116,47 @@ class TestConv2d:
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
 
     @staticmethod
-    def _assert_band_size_keeps_bits(monkeypatch, n, c, o, size, k, stride, pad, dtype, seed):
+    def _assert_band_size_keeps_bits(monkeypatch, n, c, o, size, k, stride, pad, dtype, seed,
+                                     pieces_exact=True):
         """Output, dx and dw at one-row bands, the shipped size and one band
-        for the whole map must agree bit for bit. Returns the number of
-        bands the shipped size cut the forward pass into."""
+        for the whole map must agree bit for bit, at each of three GEMM caps:
+        no split, the shipped cap and half of it. Across the caps the output
+        and dx must agree bit for bit too (to within a few ulps when
+        pieces_exact is False); dw adds its rows in other pieces there, so
+        it is not compared. size is the input's (height, width), or an int h
+        for (h, h - 1). Returns the number of bands the shipped size cut the
+        forward pass into."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, c, size, size - 1)).astype(dtype)
+        x = rng.standard_normal((n, c, *(size if isinstance(size, tuple) else (size, size - 1)))).astype(dtype)
         w = rng.standard_normal((o, c, k, k)).astype(dtype)
-        runs = []  # output, dx and dw per BLOCK_ELEMS value
-        shipped = nn.BLOCK_ELEMS
-        for elems in (1, shipped, 10**12):
-            monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
-            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = conv2d(xt, wt, stride=stride, padding=pad)
-            out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
-            runs.append((out.data, xt.grad, wt.grad))
-        monkeypatch.setattr(nn, "BLOCK_ELEMS", shipped)
-        assert runs[0][0].shape[2] >= 2  # one-row bands really split the map
-        for a, b, d in zip(*runs):
-            msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
-            np.testing.assert_array_equal(a, d, err_msg=msg)
-            np.testing.assert_array_equal(b, d, err_msg=msg)
-        oh, ow = runs[0][0].shape[2:]
-        return -(-oh // max(1, shipped // (ow * n * max(c, o))))
+        runs = {}  # output, dx and dw per (GEMM_ELEMS, BLOCK_ELEMS)
+        one = 10**12  # no split, or one band for the whole map
+        for cap in (one, nn.GEMM_ELEMS, nn.GEMM_ELEMS // 2):
+            for elems in (1, nn.BLOCK_ELEMS, one):
+                with monkeypatch.context() as m:
+                    m.setattr(nn, "GEMM_ELEMS", cap)
+                    m.setattr(nn, "BLOCK_ELEMS", elems)
+                    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+                    out = conv2d(xt, wt, stride=stride, padding=pad)
+                    out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
+                runs[cap, elems] = (out.data, xt.grad, wt.grad)
+        assert runs[one, 1][0].shape[2] >= 2  # one-row bands really split the map
+        msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
+        for (cap, elems), run in runs.items():
+            for a, b in zip(run, runs[cap, one]):
+                np.testing.assert_array_equal(a, b, err_msg=f"{msg} cap={cap} elems={elems}")
+            for a, b in zip(run[:2], runs[one, one][:2]):
+                if pieces_exact:
+                    np.testing.assert_array_equal(a, b, err_msg=f"{msg} cap={cap}")
+                else:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-6 * np.abs(b).max(), err_msg=msg)
+        oh, ow = runs[one, one][0].shape[2:]
+        return -(-oh // max(1, nn.BLOCK_ELEMS // (ow * n * max(c, o))))
 
-    # each stacked output row is its own GEMM, forward and dx add their taps
-    # in tap order and dw adds its rows in row order, so the band size never
-    # changes a bit; the tests below check that over several groups of shapes
+    # each stacked output row piece is its own GEMM, forward and dx add their
+    # taps in tap order and dw adds its rows in (row, piece) order, so the band
+    # size never changes a bit; the tests below check that over several groups
+    # of shapes, at each GEMM cap
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_blocks_keep_every_sum(self, monkeypatch, dtype):
@@ -153,6 +171,32 @@ class TestConv2d:
                  for shape in ((8, 16, 16, 32, 3, 1, 1), (8, 16, 32, 32, 3, 2, 1),
                                (16, 128, 128, 4, 3, 1, 1), (16, 64, 128, 8, 1, 2, 0))]
         assert min(bands[:2]) >= 2, bands
+
+    # (c, o, width) of the four desk stages' 3x3 convs at batch 128, and the
+    # pieces the shipped cap cuts each output row's GEMM rows into. Every
+    # output row makes the same GEMMs, so four rows of each map suffice.
+    DESK_STAGES = ((16, 16, 32, 2), (32, 32, 16, 4), (64, 64, 8, 8), (128, 128, 4, 1))
+
+    def test_gemm_pieces_keep_forward_and_dx_bits_at_desk_stages(self, monkeypatch):
+        # SkylakeX kernels give a row of a small-matrix GEMM the same bits as
+        # the same row of a larger one, so there only dw moves
+        for c, o, width, pieces in self.DESK_STAGES:
+            assert nn._gemm_pieces(width * 128, c, o) == pieces, (c, o)
+            self._assert_band_size_keeps_bits(monkeypatch, 128, c, o, (4, width), 3, 1, 1, np.float32,
+                                              seed=20, pieces_exact=blas_core() == "SkylakeX")
+
+    def test_gemm_pieces_under_another_kernel(self):
+        # Haswell kernels round a GEMM row by its place in the call, so there
+        # the pieces move forward and dx within rounding, while the band size
+        # still keeps every bit
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(nn.__file__)),
+                                              os.path.dirname(os.path.abspath(__file__))])}
+        code = ("import numpy as np, pytest\n"
+                "from test_nn_ops import TestConv2d\n"
+                "TestConv2d._assert_band_size_keeps_bits(pytest.MonkeyPatch(), 128, 16, 16, (4, 32), 3, 1, 1,"
+                " np.float32, seed=20, pieces_exact=False)\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
     @pytest.mark.parametrize("c, o", [(2, 64), (4, 128)])
     def test_block_floor_is_exact(self, monkeypatch, c, o):
@@ -181,6 +225,7 @@ class TestConv2d:
         rng = np.random.default_rng(19)
         # (c, o, size, kernel, stride, padding) of desk-model convs, batch 128
         for c, o, size, k, stride, pad in ((3, 16, 32, 3, 1, 1), (16, 16, 32, 3, 1, 1), (16, 32, 32, 3, 2, 1),
+                                           (32, 32, 16, 3, 1, 1), (64, 64, 8, 3, 1, 1),
                                            (64, 128, 8, 1, 2, 0), (128, 128, 4, 3, 1, 1)):
             x = rng.standard_normal((128, c, size, size)).astype(np.float32)
             w = rng.standard_normal((o, c, k, k)).astype(np.float32)

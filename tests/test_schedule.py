@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -392,6 +393,73 @@ def test_crash_between_checkpoint_write_and_rename(tmp_path, uninterrupted, monk
     _run(tmp_path, "cut", resume=True)
     for f, full in uninterrupted.items():
         assert (out / f).read_bytes() == full, f
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_dir(tmp_path_factory):
+    """Every file of one full tiny run, by name."""
+    tmp = tmp_path_factory.mktemp("uninterrupted_dir")
+    _run(tmp, "full")
+    return {f.name: f.read_bytes() for f in (tmp / "full").iterdir()}
+
+
+# The tiny plan saves checkpoint.bin 7 times and a phase snapshot 5 times: 12
+# renames. A forked child is SIGKILLed inside the k-th one, before it moves the
+# file, which leaves its temp file behind; a resume (a rerun when no
+# checkpoint.bin was written yet) must end with the full run's files and no other.
+@pytest.mark.parametrize("kill_at", range(1, 13))
+def test_kill_inside_a_rename_then_resume_leaves_no_stray_file(tmp_path, uninterrupted_dir, kill_at):
+    pid = os.fork()
+    if pid == 0:  # the child trains until its kill_at-th rename kills it
+        try:
+            renames = []
+            rename = os.replace
+
+            def dying_replace(src, dst):
+                renames.append(dst)
+                if len(renames) == kill_at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                rename(src, dst)
+
+            os.replace = dying_replace
+            _run(tmp_path, "cut")
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    out = tmp_path / "cut"
+    assert list(out.glob("*.tmp"))  # the kill left a temp file
+    _run(tmp_path, "cut", resume=(out / "checkpoint.bin").exists())
+    assert sorted(f.name for f in out.iterdir()) == sorted(uninterrupted_dir)
+    for f in ("metrics.csv", "checkpoint.bin"):
+        assert (out / f).read_bytes() == uninterrupted_dir[f], f
+    for f in out.glob("checkpoint_phase*.bin"):
+        assert f.read_bytes() == uninterrupted_dir[f.name], f.name
+
+
+def test_csv_rows_are_fsynced_before_each_checkpoint_rename(tmp_path, monkeypatch):
+    # a checkpoint on disk must never cover rows that are not: at each rename
+    # of checkpoint.bin, both csv files were fsynced at their current size
+    out = tmp_path / "run"
+    synced = {}  # inode -> size at its last fsync
+    renames = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced[st.st_ino] = st.st_size
+        real_fsync(fd)
+
+    def replace(src, dst):
+        if os.path.basename(dst) == "checkpoint.bin":
+            renames.append([synced.get(st.st_ino) == st.st_size
+                            for st in (os.stat(out / f) for f in ("metrics.csv", "timing.csv"))])
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    _run(tmp_path, "run")
+    assert renames == [[True, True]] * 7
 
 
 @pytest.mark.parametrize("damage", ["missing", "short"])
