@@ -178,7 +178,10 @@ def read_idx(path: str) -> np.ndarray:
         dtype_code, ndim = header[2], header[3]
         if dtype_code != 0x08:
             raise ValueError(f"{path}: only ubyte IDX payloads are supported, got code {dtype_code:#x}")
-        dims = struct.unpack(f">{ndim}I", f.read(4 * ndim))
+        raw = f.read(4 * ndim)
+        if len(raw) < 4 * ndim:
+            raise ValueError(f"{path}: IDX header has {len(raw)} dimension bytes, its {ndim} dims need {4 * ndim}")
+        dims = struct.unpack(f">{ndim}I", raw)
         payload = f.read()
     expected = int(np.prod(dims)) if dims else 0
     if len(payload) != expected:

@@ -166,15 +166,15 @@ class QuantResNet:
         w = self.params[name]
         return fq_weights(w, k) if name in self._quantized_weights else w
 
-    def forward(self, x: Tensor, training: bool = False, quant: bool | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False, quant: bool = True) -> Tensor:
         """Map an image batch to class logits.
 
         Quantization nodes are inserted exactly when the bit depth is below
-        32; ``quant=False`` removes them outright (the reference graph for
-        the k=32 identity contract).
+        32; ``quant=False`` runs at 32 bits whatever the bit depth, with no
+        node (the reference graph for the k=32 identity contract).
         """
         cfg = self.cfg
-        k = REAL_BITS if quant is False else cfg.bit_depth
+        k = cfg.bit_depth if quant else REAL_BITS
         p = self.params
         if cfg.stem == "cifar":
             h = nn.conv2d(x, p["conv1.weight"], stride=1, padding=1)

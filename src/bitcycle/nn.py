@@ -4,23 +4,23 @@ The entry points take NCHW activations and OIHW convolution weights.
 Inside, convolution runs on a zero-padded batch-inner copy of the input,
 (h, w, n, c) in memory and split into stride phases, so the pixels one
 kernel tap reads for one output image row of the whole batch are a single
-contiguous run of ow*n rows. Each (output row, tap) pair multiplies exactly
-those rows: no column matrix is built and no padding row is multiplied.
-The ow*n rows are cut into P equal pieces, one GEMM each. P is worked out
-from the shape alone (`_gemm_pieces`): the fewest pieces that keep each
-call's rows*c*o within GEMM_ELEMS, so every call runs in OpenBLAS's
-small-matrix kernel, or 1 where the pieces would be shorter than
-GEMM_MIN_ROWS rows. Each output element adds its taps in tap order. The
-output rows are walked in bands of a few rows, each band one batched matmul
-per tap, so the band's input and accumulator rows stay in cache; numpy runs
-one GEMM per stacked piece, so the band size never changes a bit. The
-output is an NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input gradient is a gather over bands of grid
-rows: each grid row sums, from zero and in tap order, the output-gradient
-pieces its taps read, times a contiguous (taps, o, c) copy of the weight.
-The weight gradient is one GEMM per output row, piece and tap, summed in
-ascending (row, piece) order. An input that needs no gradient, such as the
-image batch, gets none computed. Backward rebuilds the padded copy instead
-of keeping it alive, trading a little compute for a smaller peak footprint.
+contiguous run of m = ow*n rows. Each (output row, tap) pair multiplies
+exactly those rows: no column matrix is built, no padding row is
+multiplied, and each output element adds its taps in tap order. One cap,
+GEMM_ELEMS on a call's rows*c*o, tiles the rows from the shape alone
+(`_gemm_tiling`): a band of whole rows within the cap is one stacked matmul
+per tap, and a row over the cap is cut into the fewest P equal pieces
+within it (P = 1 where they would be under GEMM_MIN_ROWS rows), one GEMM
+each. A band holds more than one row only where P = 1, and numpy runs one
+GEMM per stacked row piece, so the band never changes a bit. The output is
+an NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input
+gradient is a gather over the same bands of grid rows: each sums, from zero
+and in tap order, the output-gradient pieces its taps read, times a
+contiguous (taps, o, c) copy of the weight. The weight gradient is one GEMM
+per output row, piece and tap, summed in ascending (row, piece) order. An
+input that needs no gradient, such as the image batch, gets none. Backward
+rebuilds the padded copy instead of keeping it alive, trading a little
+compute for a smaller peak footprint.
 
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
@@ -44,26 +44,25 @@ import numpy as np
 
 from .tensor import Tensor, _as_tensor, _node
 
-# Convolution walks its output rows in bands of BLOCK_ELEMS // (ow*n*max(c, o))
-# rows (at least one), so a band's input, accumulator and gradient rows stay
-# in cache. The band size is pure speed: it never changes a bit.
-BLOCK_ELEMS = 32768
-# Each conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
+# Every conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
 # power of two under the M*N*K = 10**6 up to which SkylakeX OpenBLAS takes its
 # small-matrix kernel: one (4096, 16) @ (16, 16) call took 37 us on one
-# thread, its two 2048-row halves 22 us. Pieces under GEMM_MIN_ROWS rows do
-# not pay: 32-row pieces made a c = o = 128 conv at batch 128 slower, not
-# faster (forward and backward 29.0 -> 30.9 ms).
+# thread, its two 2048-row halves 22 us. The cap also sizes a band of whole
+# output rows: small rows stack (band > 1, P = 1), large ones split (P > 1,
+# band = 1). Pieces under GEMM_MIN_ROWS rows do not pay: 32-row pieces made a
+# c = o = 128 conv at batch 128 slower, not faster (forward and backward
+# 29.0 -> 30.9 ms).
 GEMM_ELEMS = 2**19
 GEMM_MIN_ROWS = 64
 
 
-def _gemm_pieces(m: int, c: int, o: int) -> int:
-    """The equal pieces m GEMM rows are cut into, each call's rows*c*o within GEMM_ELEMS."""
+def _gemm_tiling(m: int, c: int, o: int) -> tuple[int, int]:
+    """(band, P): whole output rows per stacked matmul, and equal pieces per row
+    of m GEMM rows, each within GEMM_ELEMS rows*c*o; band > 1 only where P = 1."""
     p = max(1, -(-m * c * o // GEMM_ELEMS))
     while m % p:
         p += 1
-    return p if m // p >= GEMM_MIN_ROWS else 1
+    return max(1, GEMM_ELEMS // (m * c * o)), (p if m // p >= GEMM_MIN_ROWS else 1)
 
 
 def _padded_grid(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
@@ -110,8 +109,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     # reads grid row q + di of its phase, from column dj on
     taps = [(i % s, j % s, i // s, j // s) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
-    band = max(1, BLOCK_ELEMS // (m * max(c, o)))
-    pieces = _gemm_pieces(m, c, o)
+    band, pieces = _gemm_tiling(m, c, o)
     pm = m // pieces
     need_dx = x.requires_grad or x._backward is not None
 
@@ -121,8 +119,6 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         a, b, di, dj = taps[t]
         return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, pieces, pm, c)
 
-    # numpy's matmul runs one GEMM per stacked piece, so every output
-    # element adds its taps in tap order whatever the band
     grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
     acc = np.empty((oh, pieces, pm, o), dtype=np.result_type(xd, wd))
     for q0 in range(0, oh, band):

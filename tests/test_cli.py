@@ -242,6 +242,18 @@ def test_expand_reports_a_malformed_corpus(tmp_path, capsys):
     assert "train.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "expand"])
+def test_a_truncated_idx_header_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "train-images-idx3-ubyte").write_bytes(bytes.fromhex("0000080300000002"))
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(f"data.format = idx\ndata.root = {root}\n")
+    out = ["--out", str(tmp_path / "run")] if command == "train" else []
+    assert main([command, "--config", str(cfg), *out]) == 1
+    assert "train-images-idx3-ubyte: IDX header has 4 dimension bytes" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     rc = main(["eval", "--checkpoint", missing, "--out", str(tmp_path)])

@@ -167,6 +167,13 @@ class TestIdx:
         with pytest.raises(ValueError, match="images but"):
             load_idx(str(tmp_path), "train")
 
+    def test_truncated_header_names_its_dimension_bytes(self, tmp_path):
+        p = tmp_path / "train-images-idx3-ubyte"
+        p.write_bytes(bytes.fromhex("0000080300000002"))  # 3 dims, 4 of their 12 bytes
+        with pytest.raises(ValueError) as err:
+            read_idx(str(p))
+        assert str(err.value) == f"{p}: IDX header has 4 dimension bytes, its 3 dims need 12"
+
     def test_payload_size_checked(self, tmp_path):
         p = tmp_path / "short"
         with open(p, "wb") as f:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from bitcycle import nn
+from bitcycle.config import RunConfig
+from bitcycle.models import build_model, desk_config
 from bitcycle.nn import (
     avg_pool2d,
     batch_norm,
@@ -18,10 +20,12 @@ from bitcycle.nn import (
     max_pool2d,
     softmax_cross_entropy,
 )
-from bitcycle.tensor import Tensor
+from bitcycle.tensor import Tensor, no_grad
 
 from gradcheck import gradcheck
 from test_golden import blas_core
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def _bn_buffers(c, dtype=np.float32):
@@ -118,40 +122,43 @@ class TestConv2d:
     @staticmethod
     def _assert_band_size_keeps_bits(monkeypatch, n, c, o, size, k, stride, pad, dtype, seed,
                                      pieces_exact=True):
-        """Output, dx and dw at one-row bands, the shipped size and one band
-        for the whole map must agree bit for bit, at each of three GEMM caps:
-        no split, the shipped cap and half of it. Across the caps the output
-        and dx must agree bit for bit too (to within a few ulps when
-        pieces_exact is False); dw adds its rows in other pieces there, so
-        it is not compared. size is the input's (height, width), or an int h
-        for (h, h - 1). Returns the number of bands the shipped size cut the
-        forward pass into."""
+        """Run the conv at four GEMM caps: no split (one band for the whole
+        map), the shipped cap, half of it, and m*c*o (one-row bands, P = 1).
+        Output, dx and dw must agree bit for bit across band heights, and the
+        output and dx across pieces too (to within a few ulps when
+        pieces_exact is False); dw adds its rows in other pieces there, so it
+        is compared only between runs of equal P. size is the input's
+        (height, width), or an int h for (h, h - 1). Returns the number of
+        bands the shipped cap cut the forward pass into."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, c, *(size if isinstance(size, tuple) else (size, size - 1)))).astype(dtype)
+        hw = size if isinstance(size, tuple) else (size, size - 1)
+        x = rng.standard_normal((n, c, *hw)).astype(dtype)
         w = rng.standard_normal((o, c, k, k)).astype(dtype)
-        runs = {}  # output, dx and dw per (GEMM_ELEMS, BLOCK_ELEMS)
-        one = 10**12  # no split, or one band for the whole map
-        for cap in (one, nn.GEMM_ELEMS, nn.GEMM_ELEMS // 2):
-            for elems in (1, nn.BLOCK_ELEMS, one):
-                with monkeypatch.context() as m:
-                    m.setattr(nn, "GEMM_ELEMS", cap)
-                    m.setattr(nn, "BLOCK_ELEMS", elems)
-                    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-                    out = conv2d(xt, wt, stride=stride, padding=pad)
-                    out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
-                runs[cap, elems] = (out.data, xt.grad, wt.grad)
-        assert runs[one, 1][0].shape[2] >= 2  # one-row bands really split the map
+        oh, ow = ((d + 2 * pad - k) // stride + 1 for d in hw)
+        m = ow * n
+        runs = []  # ((band, pieces), (output, dx, dw)) per cap
+        for cap in (10**12, nn.GEMM_ELEMS, nn.GEMM_ELEMS // 2, m * c * o):
+            with monkeypatch.context() as mp:
+                mp.setattr(nn, "GEMM_ELEMS", cap)
+                tiling = nn._gemm_tiling(m, c, o)
+                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+                out = conv2d(xt, wt, stride=stride, padding=pad)
+                out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
+            runs.append((tiling, (out.data, xt.grad, wt.grad)))
+        assert oh >= 2 and runs[-1][0] == (1, 1)  # one-row bands really split the map
         msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
-        for (cap, elems), run in runs.items():
-            for a, b in zip(run, runs[cap, one]):
-                np.testing.assert_array_equal(a, b, err_msg=f"{msg} cap={cap} elems={elems}")
-            for a, b in zip(run[:2], runs[one, one][:2]):
+        for (band, pieces), run in runs:
+            assert band == 1 or pieces == 1, (band, pieces)
+            for (band2, pieces2), run2 in runs:
+                if pieces2 == pieces:
+                    for a, b in zip(run, run2):
+                        np.testing.assert_array_equal(a, b, err_msg=f"{msg} bands {band}/{band2}")
+            for a, b in zip(run[:2], runs[-1][1][:2]):
                 if pieces_exact:
-                    np.testing.assert_array_equal(a, b, err_msg=f"{msg} cap={cap}")
+                    np.testing.assert_array_equal(a, b, err_msg=f"{msg} pieces={pieces}")
                 else:
                     np.testing.assert_allclose(a, b, rtol=0, atol=1e-6 * np.abs(b).max(), err_msg=msg)
-        oh, ow = runs[one, one][0].shape[2:]
-        return -(-oh // max(1, nn.BLOCK_ELEMS // (ow * n * max(c, o))))
+        return -(-oh // nn._gemm_tiling(m, c, o)[0])
 
     # each stacked output row piece is its own GEMM, forward and dx add their
     # taps in tap order and dw adds its rows in (row, piece) order, so the band
@@ -166,7 +173,7 @@ class TestConv2d:
 
     def test_shipped_block_size_is_exact_at_desk_widths(self, monkeypatch):
         # (batch, c, o, size, kernel, stride, padding) of desk-model convs at
-        # a smaller batch; the shipped size cuts the 32x32 maps into bands
+        # a smaller batch; the shipped cap cuts the 32x32 maps into bands
         bands = [self._assert_band_size_keeps_bits(monkeypatch, *shape, np.float32, seed=17)
                  for shape in ((8, 16, 16, 32, 3, 1, 1), (8, 16, 32, 32, 3, 2, 1),
                                (16, 128, 128, 4, 3, 1, 1), (16, 64, 128, 8, 1, 2, 0))]
@@ -181,9 +188,32 @@ class TestConv2d:
         # SkylakeX kernels give a row of a small-matrix GEMM the same bits as
         # the same row of a larger one, so there only dw moves
         for c, o, width, pieces in self.DESK_STAGES:
-            assert nn._gemm_pieces(width * 128, c, o) == pieces, (c, o)
+            assert nn._gemm_tiling(width * 128, c, o) == (1, pieces), (c, o)
             self._assert_band_size_keeps_bits(monkeypatch, 128, c, o, (4, width), 3, 1, 1, np.float32,
                                               seed=20, pieces_exact=blas_core() == "SkylakeX")
+
+    def test_shipped_cap_tiles_the_benchmark_models(self, monkeypatch):
+        # (band, pieces) of every conv of one forward pass, in call order: at
+        # batch 128 the desk convs split and only the stem stacks rows; the
+        # synthetic benefit study's small convs all stack rows whole
+        tilings, tiling = [], nn._gemm_tiling
+
+        def record(m, c, o):
+            tilings.append(tiling(m, c, o))
+            return tilings[-1]
+
+        monkeypatch.setattr(nn, "_gemm_tiling", record)
+        bench = RunConfig.from_file(os.path.join(CONFIGS, "synthetic_benefit.cfg"))
+        size, batch = bench["data.synth_size"], bench["data.batch_size"]
+        with no_grad():
+            build_model(desk_config(1)).forward(Tensor(np.zeros((128, 3, 32, 32), np.float32)))
+            desk = tilings[:]
+            build_model(bench.model_config(1)).forward(Tensor(np.zeros((batch, 3, size, size), np.float32)))
+        small = tilings[len(desk):]
+        assert len(desk) == 20 and len(small) == 6, tilings
+        assert desk[0][0] == 2 and all(band == 1 for band, _ in desk[1:]), desk
+        assert all(pieces == 1 and band >= 4 for band, pieces in small), small
+        assert all(band == 1 or pieces == 1 for band, pieces in tilings), tilings
 
     def test_gemm_pieces_under_another_kernel(self):
         # Haswell kernels round a GEMM row by its place in the call, so there

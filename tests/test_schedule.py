@@ -10,7 +10,7 @@ from bitcycle import data, optim
 from bitcycle.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitcycle.config import ConfigError, RunConfig
 from bitcycle.data import Normalization, make_synthetic
-from bitcycle.metrics import read_metrics
+from bitcycle.metrics import MetricsWriter, read_metrics
 from bitcycle.models import build_model, desk_config
 from bitcycle.schedule import (
     CtmqInputs,
@@ -395,46 +395,110 @@ def test_crash_between_checkpoint_write_and_rename(tmp_path, uninterrupted, monk
         assert (out / f).read_bytes() == full, f
 
 
+class _KillOnFlush:
+    """A file whose flush SIGKILLs the process before anything is flushed."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def flush(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+# How often the tiny plan meets each event: it saves checkpoint.bin 7 times
+# and a phase snapshot 5 times (12 renames, each with an fsync of the temp
+# file and one of the directory), syncs both csv files before each checkpoint
+# and appends 7 rows.
+EVENTS = {"replace": 12, "replaced": 12, "fsync": 38, "append": 7}
+# the call each event hooks
+HOOKED = {"replace": (os, "replace"), "replaced": (os, "replace"), "fsync": (os, "fsync"),
+          "append": (MetricsWriter, "append")}
+
+
+def _arm(event, kill_at, counts=None):
+    """Hook the event's calls: count them into counts, or SIGKILL the process
+    at the kill_at-th. "replace" dies inside os.replace before the file
+    moves, "replaced" right after it returns, "fsync" inside os.fsync, and
+    "append" inside MetricsWriter.append, once metrics.csv holds the row and
+    before timing.csv does. Returns the (owner, name, hooked) to set."""
+    owner, name = HOOKED[event]
+    real = getattr(owner, name)
+
+    def hooked(*args):
+        if counts is not None:
+            counts[event] += 1
+            return real(*args)
+        hooked.calls += 1
+        if hooked.calls != kill_at:
+            return real(*args)
+        if event == "replaced":
+            real(*args)
+        elif event == "append":
+            args[0]._timing = _KillOnFlush(args[0]._timing)
+            real(*args)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    hooked.calls = 0
+    return owner, name, hooked
+
+
 @pytest.fixture(scope="module")
 def uninterrupted_dir(tmp_path_factory):
     """Every file of one full tiny run, by name."""
     tmp = tmp_path_factory.mktemp("uninterrupted_dir")
-    _run(tmp, "full")
+    counts = dict.fromkeys(EVENTS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for event in EVENTS:
+            mp.setattr(*_arm(event, 0, counts))
+        _run(tmp, "full")
+    assert counts == EVENTS
     return {f.name: f.read_bytes() for f in (tmp / "full").iterdir()}
 
 
-# The tiny plan saves checkpoint.bin 7 times and a phase snapshot 5 times: 12
-# renames. A forked child is SIGKILLed inside the k-th one, before it moves the
-# file, which leaves its temp file behind; a resume (a rerun when no
-# checkpoint.bin was written yet) must end with the full run's files and no other.
-@pytest.mark.parametrize("kill_at", range(1, 13))
-def test_kill_inside_a_rename_then_resume_leaves_no_stray_file(tmp_path, uninterrupted_dir, kill_at):
+def _kill_then_resume(tmp_path, uninterrupted_dir, event, kill_at):
+    """Fork after import, train in the child until the event's kill_at-th call
+    SIGKILLs it, then resume (a rerun when no checkpoint.bin was written yet):
+    the run must end with the full run's files, byte for byte, and no other.
+    Returns the file names the kill left."""
     pid = os.fork()
-    if pid == 0:  # the child trains until its kill_at-th rename kills it
+    if pid == 0:
         try:
-            renames = []
-            rename = os.replace
-
-            def dying_replace(src, dst):
-                renames.append(dst)
-                if len(renames) == kill_at:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                rename(src, dst)
-
-            os.replace = dying_replace
+            setattr(*_arm(event, kill_at))
             _run(tmp_path, "cut")
         finally:
             os._exit(1)
     _, status = os.waitpid(pid, 0)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     out = tmp_path / "cut"
-    assert list(out.glob("*.tmp"))  # the kill left a temp file
+    left = sorted(f.name for f in out.iterdir())
+    if event == "append":  # the kill fell between the two files' writes
+        rows = [len((out / f).read_bytes().splitlines()) for f in ("metrics.csv", "timing.csv")]
+        assert rows == [kill_at + 1, kill_at]  # a header and kill_at rows against kill_at - 1
     _run(tmp_path, "cut", resume=(out / "checkpoint.bin").exists())
     assert sorted(f.name for f in out.iterdir()) == sorted(uninterrupted_dir)
     for f in ("metrics.csv", "checkpoint.bin"):
         assert (out / f).read_bytes() == uninterrupted_dir[f], f
     for f in out.glob("checkpoint_phase*.bin"):
         assert f.read_bytes() == uninterrupted_dir[f.name], f.name
+    return left
+
+
+# A kill inside the k-th rename, before it moves the file, leaves its temp
+# file behind for the resume to overwrite.
+@pytest.mark.parametrize("kill_at", range(1, 13))
+def test_kill_inside_a_rename_then_resume_leaves_no_stray_file(tmp_path, uninterrupted_dir, kill_at):
+    left = _kill_then_resume(tmp_path, uninterrupted_dir, "replace", kill_at)
+    assert any(name.endswith(".tmp") for name in left)
+
+
+@pytest.mark.parametrize("event, kill_at", [(event, k) for event in ("replaced", "fsync", "append")
+                                            for k in range(1, EVENTS[event] + 1)])
+def test_kill_at_each_write_event_then_resume_matches_the_full_run(tmp_path, uninterrupted_dir,
+                                                                    event, kill_at):
+    _kill_then_resume(tmp_path, uninterrupted_dir, event, kill_at)
 
 
 def test_csv_rows_are_fsynced_before_each_checkpoint_rename(tmp_path, monkeypatch):
