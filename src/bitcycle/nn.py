@@ -132,16 +132,15 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
         grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
-        # dw: one GEMM per output row, piece and tap, summed in ascending
-        # (row, piece) order
-        dwk = np.empty((kh * kw, o, c), dtype=np.result_type(g, xd))
+        # dw: one GEMM per output row, piece and tap, summed from zero in
+        # ascending (row, piece) order
+        dwk = np.zeros((kh * kw, o, c), dtype=np.result_type(g, xd))
         for q0 in range(0, oh, band):
             q1 = min(q0 + band, oh)
             gt = g4[q0:q1].transpose(0, 1, 3, 2)
             for t in range(len(taps)):
-                d = gt @ rows(grid, t, q0, q1)
-                for i, piece in enumerate(d.reshape(-1, o, c)):
-                    dwk[t] = piece if q0 == i == 0 else dwk[t] + piece
+                for piece in (gt @ rows(grid, t, q0, q1)).reshape(-1, o, c):
+                    dwk[t] += piece
         del grid
         dw = dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         if not need_dx:

@@ -198,10 +198,6 @@ def pooled_weight_error(model: QuantResNet) -> float:
 # ----------------------------------------------------------------------
 # the driver
 
-def _epochs_before(phases: list[Phase], index: int) -> int:
-    return sum(p.epochs for p in phases[:index])
-
-
 def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
                       phase: Phase, epochs_done: int, iteration: int,
                       norm: D.Normalization, train_name: str,
@@ -256,21 +252,6 @@ def _model_at(cfg: RunConfig, bit_depth: int, tensors: dict, origin: str) -> Qua
     return model
 
 
-def _checkpoint_phase(ck: Checkpoint, phases: list[Phase], origin: str) -> Phase:
-    """The phase ck was taken in; refuses a cursor or bit depth the plan does not hold."""
-    if not 0 <= ck.phase_index < len(phases):
-        raise CheckpointError(f"{origin}: phase index {ck.phase_index} is not one of the "
-                              f"plan's {len(phases)} phases")
-    phase = phases[ck.phase_index]
-    if not 0 <= ck.epochs_done <= phase.epochs:
-        raise CheckpointError(f"{origin}: {ck.epochs_done} epochs done is outside phase "
-                              f"{phase.index}'s 0..{phase.epochs}")
-    if ck.metadata.get("bit_depth") != phase.bit_depth:
-        raise CheckpointError(f"{origin}: bit depth {ck.metadata.get('bit_depth')!r} is not "
-                              f"phase {phase.index}'s {phase.bit_depth}")
-    return phase
-
-
 def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[QuantResNet, RunConfig]:
     """Rebuild the exact network a checkpoint was taken from; each refusal names origin."""
     try:
@@ -282,7 +263,17 @@ def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[Q
     if cfg.digest() != ck.config_digest:
         raise CheckpointError(f"{origin}: the config text does not hash to the config digest "
                               f"{ck.config_digest[:12]}")
-    phase = _checkpoint_phase(ck, plan_phases(cfg), origin)
+    phases = plan_phases(cfg)
+    if not 0 <= ck.phase_index < len(phases):
+        raise CheckpointError(f"{origin}: phase index {ck.phase_index} is not one of the "
+                              f"plan's {len(phases)} phases")
+    phase = phases[ck.phase_index]
+    if not 0 <= ck.epochs_done <= phase.epochs:
+        raise CheckpointError(f"{origin}: {ck.epochs_done} epochs done is outside phase "
+                              f"{phase.index}'s 0..{phase.epochs}")
+    if ck.metadata.get("bit_depth") != phase.bit_depth:
+        raise CheckpointError(f"{origin}: bit depth {ck.metadata.get('bit_depth')!r} is not "
+                              f"phase {phase.index}'s {phase.bit_depth}")
     return _model_at(cfg, phase.bit_depth, ck.tensors, origin), cfg
 
 
@@ -306,11 +297,14 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
 
     on_phase_start, when given, is called as on_phase_start(phase, model)
     after the hand-off and before the phase's first batch; it sees the
-    exact weights the phase starts from.
+    exact weights the phase starts from. A resume does not call it for the
+    phase it continues partway through.
     """
     out_dir = cfg["run.out_dir"]
     seed = cfg["run.seed"]
     phases = plan_phases(cfg)
+    # global epoch g is epochs[g]: its phase and its epoch within the phase
+    epochs = [(phase, e) for phase in phases for e in range(phase.epochs)]
     train, test = load_datasets(cfg)
     norm = D.Normalization.from_train(train)
     policy = cfg.view(D.AugmentPolicy, "data") if cfg["data.augment"] else None
@@ -320,6 +314,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         raise ConfigError(
             f"data.batch_size {batch_size} exceeds the training set size {len(train.labels)}"
         )
+    per_epoch = len(train.labels) // batch_size
 
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     if not resume and os.path.exists(ckpt_path):
@@ -327,7 +322,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                               "or train into a new directory")
 
     # done counts the epochs the run directory holds: the global index of the next epoch
-    done = iteration = 0
+    done = 0
     if resume:
         if not os.path.exists(ckpt_path):
             raise CheckpointError(f"cannot resume: {ckpt_path} does not exist")
@@ -337,19 +332,23 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 f"cannot resume: {ckpt_path} was produced by a different config "
                 f"(digest {loaded.config_digest[:12]}, expected {cfg.digest()[:12]})"
             )
-        at = _checkpoint_phase(loaded, phases, ckpt_path)
-        per_epoch = len(train.labels) // batch_size
-        done = _epochs_before(phases, at.index) + loaded.epochs_done
-        iteration = done * per_epoch
+        model, _ = model_from_checkpoint(loaded, ckpt_path)
+        at = phases[loaded.phase_index]
+        done = epochs.index((at, 0)) + loaded.epochs_done
         mid_phase = loaded.epochs_done < at.epochs
         if not (loaded.epochs_done >= 1
-                and loaded.metadata.get("iteration") == iteration
+                and loaded.metadata.get("iteration") == done * per_epoch
                 and (not mid_phase or loaded.step_count == loaded.epochs_done * per_epoch)):
             raise CheckpointError(
                 f"cannot resume: {ckpt_path} holds epoch {loaded.epochs_done}, iteration "
                 f"{loaded.metadata.get('iteration')!r} and optimizer step {loaded.step_count} "
                 f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
-        model = _model_at(cfg, at.bit_depth, loaded.tensors, ckpt_path)
+        # the data root is not in the config digest, so the corpus can change under a run
+        for key, now in (("normalization", norm.to_dict()), ("dataset", train.name)):
+            if loaded.metadata.get(key) != now:
+                raise CheckpointError(
+                    f"cannot resume: {ckpt_path} was trained on a split with {key} "
+                    f"{loaded.metadata.get(key)!r}, but the training split now has {now!r}")
         if not mid_phase and not os.path.exists(_snapshot_path(ckpt_path, at.index)):
             # a crash after checkpoint.bin's rename and before its snapshot's
             _snapshot(ckpt_path, at.index)
@@ -373,64 +372,57 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         with open(os.path.join(out_dir, "config.txt"), "w") as f:
             f.write(cfg.canonical_text())
         rows = read_metrics(writer.metrics_path) if resume else []
-        for phase in phases:
-            first = done - _epochs_before(phases, phase.index)
-            if first >= phase.epochs:
-                continue  # the run directory holds the whole phase
-            if model.cfg.bit_depth != phase.bit_depth:
-                model = _model_at(cfg, phase.bit_depth, model.params, "the hand-off")
-
-            if on_phase_start is not None:
-                on_phase_start(phase, model)
-            if first == 0:
+        for g in range(done, len(epochs)):
+            phase, epoch = epochs[g]
+            if epoch == 0:
+                if model.cfg.bit_depth != phase.bit_depth:
+                    model = _model_at(cfg, phase.bit_depth, model.params, "the hand-off")
+                if on_phase_start is not None:
+                    on_phase_start(phase, model)
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
-            lr_schedule = LrSchedule(cfg["optimizer.lr_policy"], phase.epochs)
 
-            for epoch in range(first, phase.epochs):
-                t0 = time.monotonic()
-                lr = lr_at(lr_schedule, epoch, cfg["optimizer.lr_base"])
-                loss_sum = 0.0
-                n_batches = 0
-                for xb, yb in D.batches(train, batch_size, seed, done,
-                                        policy=policy, norm=norm):
-                    logits = model.forward(xb, training=True)
-                    loss = softmax_cross_entropy(logits, yb)
-                    if not np.isfinite(loss.data):
-                        raise _non_finite(f"training loss {loss.item()}", phase, epoch, iteration)
-                    model.zero_grad()
-                    loss.backward()
-                    for name, p in model.trainable():
-                        if p.grad is not None and not np.isfinite(p.grad).all():
-                            raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
-                    optimizer.step(lr)
-                    for name, p in model.trainable():
-                        if not np.isfinite(p.data).all():
-                            raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
-                    loss_sum += loss.item()
-                    n_batches += 1
-                    iteration += 1
-                top1, top5, _ = evaluate(model, test, eval_bs, norm)
-                row = MetricsRow(
-                    phase=phase.index, part=phase.part, bit_depth=phase.bit_depth,
-                    epoch=epoch + 1, iteration=iteration, lr=lr,
-                    train_loss=loss_sum / max(1, n_batches),
-                    eval_top1=top1, eval_top5=top5,
-                    mean_abs_quant_error=pooled_weight_error(model),
-                    wall_seconds=time.monotonic() - t0,
-                )
-                writer.append(row)
-                rows.append(row)
-                done += 1
-                if log:
-                    log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
-                        f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
-                        f"loss={row.train_loss:.4f} top1={top1:.4f}")
-                end_of_phase = epoch + 1 == phase.epochs
-                periodic = (phase.part in ("final", "single")
-                            and (epoch + 1) % checkpoint_every == 0)
-                if end_of_phase or periodic:
-                    writer.sync()
-                    _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
-                                      epoch + 1, iteration, norm, train.name,
-                                      snapshot=end_of_phase)
+            t0 = time.monotonic()
+            lr = lr_at(LrSchedule(cfg["optimizer.lr_policy"], phase.epochs), epoch,
+                       cfg["optimizer.lr_base"])
+            loss_sum = 0.0
+            for i, (xb, yb) in enumerate(D.batches(train, batch_size, seed, g,
+                                                   policy=policy, norm=norm)):
+                iteration = g * per_epoch + i
+                logits = model.forward(xb, training=True)
+                loss = softmax_cross_entropy(logits, yb)
+                if not np.isfinite(loss.data):
+                    raise _non_finite(f"training loss {loss.item()}", phase, epoch, iteration)
+                model.zero_grad()
+                loss.backward()
+                for name, p in model.trainable():
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
+                optimizer.step(lr)
+                for name, p in model.trainable():
+                    if not np.isfinite(p.data).all():
+                        raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
+                loss_sum += loss.item()
+            top1, top5, _ = evaluate(model, test, eval_bs, norm)
+            row = MetricsRow(
+                phase=phase.index, part=phase.part, bit_depth=phase.bit_depth,
+                epoch=epoch + 1, iteration=(g + 1) * per_epoch, lr=lr,
+                train_loss=loss_sum / per_epoch,
+                eval_top1=top1, eval_top5=top5,
+                mean_abs_quant_error=pooled_weight_error(model),
+                wall_seconds=time.monotonic() - t0,
+            )
+            writer.append(row)
+            rows.append(row)
+            if log:
+                log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
+                    f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
+                    f"loss={row.train_loss:.4f} top1={top1:.4f}")
+            end_of_phase = epoch + 1 == phase.epochs
+            periodic = (phase.part in ("final", "single")
+                        and (epoch + 1) % checkpoint_every == 0)
+            if end_of_phase or periodic:
+                writer.sync()
+                _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
+                                  epoch + 1, row.iteration, norm, train.name,
+                                  snapshot=end_of_phase)
     return rows

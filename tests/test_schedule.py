@@ -615,6 +615,83 @@ def test_resume_refuses_a_cursor_the_plan_does_not_hold(tmp_path, corrupt, expec
     assert {f: (out / f).read_bytes() for f in before} == before
 
 
+def test_resume_refuses_config_text_that_does_not_hash_to_its_digest(tmp_path):
+    # the digest still matches the run's config; the text beside it was edited
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    ck.metadata["config"] = ck.metadata["config"].replace("synth_size = 12", "synth_size = 14")
+    save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert path in str(err.value) and "does not hash" in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
+def _write_idx_corpus(root, seed):
+    """A one-channel, 4-class IDX corpus of 8x8 images; the seed picks the pixels."""
+    rng = np.random.default_rng(seed)
+    root.mkdir()
+    for prefix, n in (("train", 32), ("t10k", 16)):
+        write_idx(root / f"{prefix}-images-idx3-ubyte", rng.integers(0, 256, (n, 8, 8)))
+        write_idx(root / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 4)
+
+
+@pytest.mark.parametrize("swap, expected", [
+    ("corpus", "was trained on a split with normalization {'mean': ["),
+    ("dataset-name", "was trained on a split with dataset 'cifar-10', but the training split now has 'idx'"),
+], ids=["corpus", "dataset-name"])
+def test_resume_refuses_another_training_split(tmp_path, monkeypatch, swap, expected):
+    # BITCYCLE_DATA is not in the config digest: a resume may find another
+    # corpus of the same shape there, which only the checkpoint's metadata tells
+    for name, seed in (("a", 0), ("b", 1)):
+        _write_idx_corpus(tmp_path / name, seed)
+    monkeypatch.setenv("BITCYCLE_DATA", str(tmp_path / "a"))
+    idx = {"data.format": "idx", "model.in_channels": 1}
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4), **idx)
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    if swap == "corpus":
+        monkeypatch.setenv("BITCYCLE_DATA", str(tmp_path / "b"))
+    else:
+        ck = load_checkpoint(path)
+        ck.metadata["dataset"] = "cifar-10"
+        save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True, **idx)
+    assert path in str(err.value) and expected in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
+def test_on_phase_start_under_resume_sees_only_phases_that_start(tmp_path):
+    # rows_allowed 4 resumes from the end of phase 2, so phases 3 and 4 start
+    # in the resumed run; rows_allowed 6 resumes inside phase 4, which started
+    # before the cut
+    starts = {}
+    for rows_allowed in (4, 6):
+        name = f"cut{rows_allowed}"
+        with pytest.raises(KeyboardInterrupt):
+            _run(tmp_path, name, log=_InterruptAfter(rows_allowed))
+        seen = starts[rows_allowed] = {}
+
+        def capture(phase, model):
+            seen[phase.index] = {k: v.data.copy() for k, v in model.params.items()}
+
+        values = tiny_values()
+        values["run.out_dir"] = str(tmp_path / name)
+        run_schedule(RunConfig(values), resume=True, on_phase_start=capture)
+    assert {r: list(seen) for r, seen in starts.items()} == {4: [3, 4], 6: []}
+    handed = load_checkpoint(str(tmp_path / "cut4" / "checkpoint_phase002.bin")).tensors
+    assert starts[4][3].keys() == handed.keys()
+    for k, arr in starts[4][3].items():
+        assert np.array_equal(arr, handed[k]), k
+
+
 def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch):
     # a NaN pixel in the second batch of global epoch 2 (phase 2, its first
     # epoch; two batches per epoch) makes that step's loss NaN
