@@ -176,7 +176,7 @@ class RunConfig:
     def _validate(self):
         # a key's bound lives in the object that takes the key; only keys no object takes are checked here
         from .data import AugmentPolicy
-        from .optim import LrSchedule
+        from .optim import lr_at
         from .schedule import CtmqInputs
 
         if self["schedule.mode"] not in ("ctmq", "single"):
@@ -194,7 +194,7 @@ class RunConfig:
             # both modes' keys; CtmqInputs keeps every ctmq phase's depth and epochs within these
             self.view(CtmqInputs, "schedule")
             self.model_config(self["schedule.bit_depth"])
-            LrSchedule(self["optimizer.lr_policy"], self["schedule.epochs"])
+            lr_at(self["optimizer.lr_policy"], 0, self["schedule.epochs"], self["optimizer.lr_base"])
         except ValueError as e:
             raise ConfigError(f"invalid config: {e}") from None
 

@@ -16,11 +16,12 @@ GEMM per stacked row piece, so the band never changes a bit. The output is
 an NCHW view of the (oh, ow, n, o) accumulator, with no copy. The input
 gradient is a gather over the same bands of grid rows: each sums, from zero
 and in tap order, the output-gradient pieces its taps read, times a
-contiguous (taps, o, c) copy of the weight. The weight gradient is one GEMM
-per output row, piece and tap, summed in ascending (row, piece) order. An
-input that needs no gradient, such as the image batch, gets none. Backward
-rebuilds the padded copy instead of keeping it alive, trading a little
-compute for a smaller peak footprint.
+contiguous (taps, o, c) copy of the weight. The weight gradient is one
+stacked product per tap over the whole map, a GEMM per output row and piece,
+summed in ascending (row, piece) order. An input that needs no gradient,
+such as the image batch, gets none. Backward rebuilds the padded copy
+instead of keeping it alive, trading a little compute for a smaller peak
+footprint.
 
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
@@ -132,15 +133,10 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
         grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
-        # dw: one GEMM per output row, piece and tap, summed from zero in
-        # ascending (row, piece) order
-        dwk = np.zeros((kh * kw, o, c), dtype=np.result_type(g, xd))
-        for q0 in range(0, oh, band):
-            q1 = min(q0 + band, oh)
-            gt = g4[q0:q1].transpose(0, 1, 3, 2)
-            for t in range(len(taps)):
-                for piece in (gt @ rows(grid, t, q0, q1)).reshape(-1, o, c):
-                    dwk[t] += piece
+        # dw: one stacked product per tap, a GEMM per output row and piece,
+        # summed in ascending (row, piece) order
+        gt = g4.transpose(0, 1, 3, 2)
+        dwk = np.stack([(gt @ rows(grid, t, 0, oh)).sum(axis=(0, 1)) for t in range(len(taps))])
         del grid
         dw = dwk.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         if not need_dx:

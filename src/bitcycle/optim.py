@@ -34,25 +34,17 @@ class OptimizerConfig:
             raise ValueError("weight_decay must be nonnegative")
 
 
-@dataclass
-class LrSchedule:
-    policy: str = "poly"
-    total_epochs: int = 1
-
-    def __post_init__(self):
-        if self.policy not in ("poly", "constant"):
-            raise ValueError(f"lr policy must be poly or constant, got {self.policy!r}")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be at least 1")
-
-
-def lr_at(schedule: LrSchedule, epoch: int, lr_base: float) -> float:
-    """Learning rate for a given epoch of the phase; poly decays linearly to zero."""
-    if not 0 <= epoch <= schedule.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs}]")
-    if schedule.policy == "constant":
+def lr_at(policy: str, epoch: int, epochs: int, lr_base: float) -> float:
+    """Learning rate for an epoch of a phase of epochs; poly decays linearly to zero."""
+    if policy not in ("poly", "constant"):
+        raise ValueError(f"lr policy must be poly or constant, got {policy!r}")
+    if epochs < 1:
+        raise ValueError(f"a phase must have at least 1 epoch, got {epochs}")
+    if not 0 <= epoch <= epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {epochs}]")
+    if policy == "constant":
         return lr_base
-    return lr_base * (1.0 - epoch / schedule.total_epochs)
+    return lr_base * (1.0 - epoch / epochs)
 
 
 def _grad(name: str, p: Tensor, weight_decay: float) -> np.ndarray:

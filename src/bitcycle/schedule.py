@@ -31,7 +31,7 @@ from .config import ConfigError, RunConfig, parse_config_text, typed_values
 from .metrics import MetricsRow, MetricsWriter, read_metrics
 from .models import QuantResNet, build_model, transfer_weights
 from .nn import softmax_cross_entropy
-from .optim import LrSchedule, lr_at, make_optimizer
+from .optim import lr_at, make_optimizer
 from .quantize import REAL_BITS, apply_quantizer, weight_spec
 from .tensor import no_grad
 
@@ -200,8 +200,13 @@ def pooled_weight_error(model: QuantResNet) -> float:
 
 def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
                       phase: Phase, epochs_done: int, iteration: int,
-                      norm: D.Normalization, train_name: str,
-                      snapshot: bool = False) -> None:
+                      norm: D.Normalization, train_name: str) -> None:
+    """Save the rolling checkpoint.bin at path, after the cursor's epoch of phase.
+
+    At a phase end the phase's kept snapshot is saved first and checkpoint.bin
+    becomes an atomic copy of it, so no kill leaves checkpoint.bin ahead of a
+    snapshot: whatever a kill leaves, checkpoint.bin is at worst older.
+    """
     meta = {
         "part": phase.part,
         "bit_depth": phase.bit_depth,
@@ -220,22 +225,13 @@ def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
         step_count=optimizer.step_count,
         metadata=meta,
     )
-    save_checkpoint(path, ck)
-    if snapshot:
-        _snapshot(path, phase.index)
-
-
-def _snapshot(ckpt_path: str, index: int) -> None:
-    """Copy checkpoint.bin to phase index's end-of-phase snapshot.
-
-    The snapshots stay around; checkpoint.bin is the rolling latest.
-    """
-    with replace_atomically(_snapshot_path(ckpt_path, index)) as tmp:
-        shutil.copyfile(ckpt_path, tmp)
-
-
-def _snapshot_path(ckpt_path: str, index: int) -> str:
-    return os.path.join(os.path.dirname(ckpt_path), f"checkpoint_phase{index:03d}.bin")
+    if epochs_done < phase.epochs:
+        save_checkpoint(path, ck)
+        return
+    snapshot = os.path.join(os.path.dirname(path), f"checkpoint_phase{phase.index:03d}.bin")
+    save_checkpoint(snapshot, ck)
+    with replace_atomically(path) as tmp:
+        shutil.copyfile(snapshot, tmp)
 
 
 def _load_tensors(tensors: dict[str, np.ndarray], target: dict, origin: str) -> None:
@@ -349,9 +345,6 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 raise CheckpointError(
                     f"cannot resume: {ckpt_path} was trained on a split with {key} "
                     f"{loaded.metadata.get(key)!r}, but the training split now has {now!r}")
-        if not mid_phase and not os.path.exists(_snapshot_path(ckpt_path, at.index)):
-            # a crash after checkpoint.bin's rename and before its snapshot's
-            _snapshot(ckpt_path, at.index)
         if mid_phase:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
             optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
@@ -382,8 +375,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
 
             t0 = time.monotonic()
-            lr = lr_at(LrSchedule(cfg["optimizer.lr_policy"], phase.epochs), epoch,
-                       cfg["optimizer.lr_base"])
+            lr = lr_at(cfg["optimizer.lr_policy"], epoch, phase.epochs, cfg["optimizer.lr_base"])
             loss_sum = 0.0
             for i, (xb, yb) in enumerate(D.batches(train, batch_size, seed, g,
                                                    policy=policy, norm=norm)):
@@ -417,12 +409,10 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
                     f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
                     f"loss={row.train_loss:.4f} top1={top1:.4f}")
-            end_of_phase = epoch + 1 == phase.epochs
             periodic = (phase.part in ("final", "single")
                         and (epoch + 1) % checkpoint_every == 0)
-            if end_of_phase or periodic:
+            if epoch + 1 == phase.epochs or periodic:
                 writer.sync()
                 _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
-                                  epoch + 1, row.iteration, norm, train.name,
-                                  snapshot=end_of_phase)
+                                  epoch + 1, row.iteration, norm, train.name)
     return rows

@@ -127,14 +127,16 @@ class TestConv2d:
         Output, dx and dw must agree bit for bit across band heights, and the
         output and dx across pieces too (to within a few ulps when
         pieces_exact is False); dw adds its rows in other pieces there, so it
-        is compared only between runs of equal P. size is the input's
-        (height, width), or an int h for (h, h - 1). Returns the number of
-        bands the shipped cap cut the forward pass into."""
+        is compared only between runs of equal P, and in every run with the
+        sum of one GEMM per (output row, piece) built here. size is the
+        input's (height, width), or an int h for (h, h - 1). Returns the
+        number of bands the shipped cap cut the forward pass into."""
         rng = np.random.default_rng(seed)
         hw = size if isinstance(size, tuple) else (size, size - 1)
         x = rng.standard_normal((n, c, *hw)).astype(dtype)
         w = rng.standard_normal((o, c, k, k)).astype(dtype)
         oh, ow = ((d + 2 * pad - k) // stride + 1 for d in hw)
+        g = np.random.default_rng(16).standard_normal((n, o, oh, ow)).astype(dtype)
         m = ow * n
         runs = []  # ((band, pieces), (output, dx, dw)) per cap
         for cap in (10**12, nn.GEMM_ELEMS, nn.GEMM_ELEMS // 2, m * c * o):
@@ -143,8 +145,10 @@ class TestConv2d:
                 tiling = nn._gemm_tiling(m, c, o)
                 xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
                 out = conv2d(xt, wt, stride=stride, padding=pad)
-                out.backward(np.random.default_rng(16).standard_normal(out.shape).astype(dtype))
+                out.backward(g)
             runs.append((tiling, (out.data, xt.grad, wt.grad)))
+            np.testing.assert_array_equal(wt.grad, _dw_by_pieces(x, g, k, stride, pad, tiling[1]),
+                                          err_msg=f"dw at {tiling[1]} pieces")
         assert oh >= 2 and runs[-1][0] == (1, 1)  # one-row bands really split the map
         msg = f"n={n} {c}->{o} size={size} k={k} stride={stride} pad={pad} {dtype.__name__}"
         for (band, pieces), run in runs:
@@ -186,10 +190,12 @@ class TestConv2d:
 
     def test_gemm_pieces_keep_forward_and_dx_bits_at_desk_stages(self, monkeypatch):
         # SkylakeX kernels give a row of a small-matrix GEMM the same bits as
-        # the same row of a larger one, so there only dw moves
-        for c, o, width, pieces in self.DESK_STAGES:
+        # the same row of a larger one, so there only dw moves; stage 0 runs
+        # in float64 too, so dw at P > 1 meets its sequential sum in both
+        for (c, o, width, pieces), dtype in [*((stage, np.float32) for stage in self.DESK_STAGES),
+                                             (self.DESK_STAGES[0], np.float64)]:
             assert nn._gemm_tiling(width * 128, c, o) == (1, pieces), (c, o)
-            self._assert_band_size_keeps_bits(monkeypatch, 128, c, o, (4, width), 3, 1, 1, np.float32,
+            self._assert_band_size_keeps_bits(monkeypatch, 128, c, o, (4, width), 3, 1, 1, dtype,
                                               seed=20, pieces_exact=blas_core() == "SkylakeX")
 
     def test_shipped_cap_tiles_the_benchmark_models(self, monkeypatch):
@@ -286,6 +292,23 @@ class TestConv2d:
         leaf = Tensor(x, requires_grad=True)
         conv2d(leaf * 1.0, Tensor(w), padding=1).backward(g)
         np.testing.assert_array_equal(leaf.grad, xt.grad)
+
+
+def _dw_by_pieces(x, g, k, stride, pad, pieces):
+    """The weight gradient summed from zero, per tap, one GEMM of the output
+    gradient's rows by the input rows the tap reads per (output row, piece),
+    in ascending (row, piece) order."""
+    c, (n, o, oh, ow) = x.shape[1], g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dw = np.zeros((o, c, k, k), dtype=np.result_type(x, g))
+    for i, j in itertools.product(range(k), range(k)):
+        for q in range(oh):
+            xs = xp[:, :, q * stride + i, j : j + stride * (ow - 1) + 1 : stride]
+            xs = np.ascontiguousarray(xs.transpose(2, 0, 1)).reshape(pieces, -1, c)
+            gs = np.ascontiguousarray(g[:, :, q].transpose(2, 0, 1)).reshape(pieces, -1, o)
+            for gp, xq in zip(gs, xs):
+                dw[:, :, i, j] += gp.T @ xq
+    return dw
 
 
 def _naive_conv(x, w, stride, pad):

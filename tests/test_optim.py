@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bitcycle.models import transfer_weights
-from bitcycle.optim import Adam, LrSchedule, OptimizerConfig, Sgd, lr_at, make_optimizer
+from bitcycle.optim import Adam, OptimizerConfig, Sgd, lr_at, make_optimizer
 from bitcycle.tensor import Tensor
 
 
@@ -148,29 +148,25 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_poly_values(self):
-        sched = LrSchedule("poly", 20)
-        assert lr_at(sched, 0, 0.001) == 0.001
-        assert lr_at(sched, 10, 0.001) == pytest.approx(0.0005)
-        assert lr_at(sched, 20, 0.001) == 0.0
+        assert lr_at("poly", 0, 20, 0.001) == 0.001
+        assert lr_at("poly", 10, 20, 0.001) == pytest.approx(0.0005)
+        assert lr_at("poly", 20, 20, 0.001) == 0.0
 
     def test_non_increasing(self):
-        sched = LrSchedule("poly", 17)
-        rates = [lr_at(sched, e, 0.001) for e in range(18)]
+        rates = [lr_at("poly", e, 17, 0.001) for e in range(18)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_out_of_range(self):
-        sched = LrSchedule("poly", 5)
         with pytest.raises(ValueError):
-            lr_at(sched, 6, 0.001)
+            lr_at("poly", 6, 5, 0.001)
         with pytest.raises(ValueError):
-            lr_at(sched, -1, 0.001)
+            lr_at("poly", -1, 5, 0.001)
 
     def test_constant_policy(self):
-        sched = LrSchedule("constant", 10)
-        assert lr_at(sched, 7, 0.003) == 0.003
+        assert lr_at("constant", 7, 10, 0.003) == 0.003
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LrSchedule("cosine", 10)
+            lr_at("cosine", 0, 10, 0.001)
         with pytest.raises(ValueError):
-            LrSchedule("poly", 0)
+            lr_at("poly", 0, 0, 0.001)

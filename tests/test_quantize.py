@@ -286,7 +286,7 @@ class TestFakeQuantNodes:
 
     def test_multibit_forward_dtype_preserved(self):
         w = Tensor(np.random.default_rng(11).standard_normal(8).astype(np.float32), requires_grad=True)
-        assert fq_weights(w, 3).dtype == np.float32
+        assert fq_weights(w, 3).data.dtype == np.float32
 
     def test_fq_weights_all_zero_degenerate(self):
         with pytest.raises(DegenerateInputError):

@@ -408,8 +408,8 @@ class _KillOnFlush:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-# How often the tiny plan meets each event: it saves checkpoint.bin 7 times
-# and a phase snapshot 5 times (12 renames, each with an fsync of the temp
+# How often the tiny plan meets each event: it saves a phase snapshot 5 times
+# and checkpoint.bin 7 times (12 renames, each with an fsync of the temp
 # file and one of the directory), syncs both csv files before each checkpoint
 # and appends 7 rows.
 EVENTS = {"replace": 12, "replaced": 12, "fsync": 38, "append": 7}
@@ -524,6 +524,28 @@ def test_csv_rows_are_fsynced_before_each_checkpoint_rename(tmp_path, monkeypatc
     monkeypatch.setattr(os, "replace", replace)
     _run(tmp_path, "run")
     assert renames == [[True, True]] * 7
+
+
+def test_phase_snapshot_is_on_disk_before_checkpoint_bin_reaches_its_phase_end(tmp_path, monkeypatch):
+    # checkpoint.bin is never ahead of a kept snapshot: at each rename of
+    # checkpoint.bin that ends a phase, that phase's snapshot already exists
+    # and holds the bytes being renamed
+    out = tmp_path / "run"
+    phases = plan_phases(RunConfig(tiny_values()))
+    ends = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == "checkpoint.bin":
+            ck = load_checkpoint(src)
+            if ck.epochs_done == phases[ck.phase_index].epochs:
+                snapshot = out / f"checkpoint_phase{ck.phase_index:03d}.bin"
+                ends.append(snapshot.exists() and snapshot.read_bytes() == open(src, "rb").read())
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    _run(tmp_path, "run")
+    assert ends == [True] * len(phases)
 
 
 @pytest.mark.parametrize("damage", ["missing", "short"])
@@ -810,8 +832,9 @@ def test_failed_phase_snapshot_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setattr(shutil, "copyfile", failing_copy)
     with pytest.raises(OSError, match="disk full"):
         _run(tmp_path, "run")
+    # the snapshot is saved whole; the copy onto checkpoint.bin is what fails
     assert sorted(os.listdir(tmp_path / "run")) == \
-        ["checkpoint.bin", "config.txt", "metrics.csv", "timing.csv"]
+        ["checkpoint_phase000.bin", "config.txt", "metrics.csv", "timing.csv"]
 
 
 def test_resume_without_checkpoint_fails(tmp_path):

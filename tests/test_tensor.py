@@ -12,12 +12,12 @@ from gradcheck import gradcheck
 class TestBasics:
     def test_tensor_wraps_float32_by_default(self):
         t = Tensor([1, 2, 3])
-        assert t.dtype == np.float32
+        assert t.data.dtype == np.float32
         assert t.shape == (3,)
 
     def test_float64_preserved(self):
         t = Tensor(np.ones(4, dtype=np.float64))
-        assert t.dtype == np.float64
+        assert t.data.dtype == np.float64
 
     def test_add_identity(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
