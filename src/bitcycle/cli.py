@@ -86,7 +86,7 @@ def _cmd_train(args, values: dict) -> int:
 
 
 def _cmd_eval(args, values: dict) -> int:
-    from .checkpoint import CheckpointError, load_checkpoint
+    from .checkpoint import load_checkpoint
     from .data import Normalization
     from .metrics import MetricsRow, eval_appender
     from .schedule import evaluate, load_split, model_from_checkpoint, pooled_weight_error
@@ -94,27 +94,20 @@ def _cmd_eval(args, values: dict) -> int:
     append = eval_appender(args.out or os.path.dirname(os.path.abspath(args.checkpoint)))
     ck = load_checkpoint(args.checkpoint)
     model, cfg = model_from_checkpoint(ck, args.checkpoint)
-    channels = cfg["model.in_channels"]
-    try:
-        norm = Normalization.from_dict(ck.metadata["normalization"])
-        if not norm.mean.shape == norm.std.shape == (channels,):
-            raise ValueError(f"mean and std hold {norm.mean.size} and {norm.std.size} values")
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{args.checkpoint}: the metadata holds no normalization for "
-                              f"{channels} channels ({type(e).__name__}: {e})") from None
+    norm = Normalization.from_dict(ck.metadata["normalization"])
     if args.data is not None:
         cfg = RunConfig({**cfg.values, "data.root": args.data})
     test = load_split(cfg, "test")
     batch_size = cfg["data.batch_size"] if args.batch_size is None else args.batch_size
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
-    print(f"phase {ck.phase_index} ({ck.metadata.get('part', '?')}), "
-          f"bit depth {model.cfg.bit_depth}, after {ck.metadata.get('iteration', '?')} iterations")
+    print(f"phase {ck.phase_index} ({ck.metadata['part']}), "
+          f"bit depth {model.cfg.bit_depth}, after {ck.metadata['iteration']} iterations")
     print(f"top1={top1!r} top5={top5!r} loss={loss!r}")
 
     append(MetricsRow(
         phase=ck.phase_index, part="eval", bit_depth=model.cfg.bit_depth,
-        epoch=ck.epochs_done, iteration=int(ck.metadata.get("iteration", 0)),
+        epoch=ck.epochs_done, iteration=ck.metadata["iteration"],
         lr=0.0, train_loss=loss, eval_top1=top1, eval_top5=top5,
         mean_abs_quant_error=pooled_weight_error(model),
     ))

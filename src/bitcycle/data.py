@@ -205,7 +205,8 @@ def load_idx(root: str, split: str = "train") -> Dataset:
     if labels.ndim != 1:
         raise ValueError(f"{labels_path}: expected 1-d labels, got dims {labels.shape}")
     if len(images) != len(labels):
-        raise ValueError(f"{len(images)} images but {len(labels)} labels")
+        raise ValueError(f"{images_path} holds {len(images)} images but {labels_path} "
+                         f"holds {len(labels)} labels")
     class_count = int(labels.max()) + 1 if len(labels) else 0
     return Dataset(images=images, labels=labels, class_count=class_count, name="idx")
 

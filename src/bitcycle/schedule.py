@@ -249,7 +249,10 @@ def _model_at(cfg: RunConfig, bit_depth: int, tensors: dict, origin: str) -> Qua
 
 
 def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[QuantResNet, RunConfig]:
-    """Rebuild the exact network a checkpoint was taken from; each refusal names origin."""
+    """Rebuild the exact network a checkpoint was taken from; each refusal names origin.
+
+    Every reader checks a checkpoint here: its config text and digest, its cursor, its
+    tensors, and the metadata's bit depth, part, iteration and normalization."""
     try:
         cfg = RunConfig(typed_values(parse_config_text(ck.metadata["config"], "config"), "config"))
     except KeyError as e:
@@ -267,9 +270,23 @@ def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[Q
     if not 0 <= ck.epochs_done <= phase.epochs:
         raise CheckpointError(f"{origin}: {ck.epochs_done} epochs done is outside phase "
                               f"{phase.index}'s 0..{phase.epochs}")
-    if ck.metadata.get("bit_depth") != phase.bit_depth:
-        raise CheckpointError(f"{origin}: bit depth {ck.metadata.get('bit_depth')!r} is not "
-                              f"phase {phase.index}'s {phase.bit_depth}")
+    for key, want in (("bit_depth", phase.bit_depth), ("part", phase.part)):
+        if ck.metadata.get(key) != want:
+            raise CheckpointError(f"{origin}: {key.replace('_', ' ')} {ck.metadata.get(key)!r} "
+                                  f"is not phase {phase.index}'s {want!r}")
+    iteration = ck.metadata.get("iteration")
+    if type(iteration) is not int or iteration < 0:
+        raise CheckpointError(f"{origin}: iteration {iteration!r} is not a count of steps")
+    channels = cfg["model.in_channels"]
+    try:
+        norm = D.Normalization.from_dict(ck.metadata["normalization"])
+        if not norm.mean.shape == norm.std.shape == (channels,):
+            raise ValueError(f"mean and std hold {norm.mean.size} and {norm.std.size} values")
+        if norm.to_dict() != ck.metadata["normalization"]:
+            raise ValueError("its values are not the float32 values a run writes")
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{origin}: the metadata holds no normalization for "
+                              f"{channels} channels ({type(e).__name__}: {e})") from None
     return _model_at(cfg, phase.bit_depth, ck.tensors, origin), cfg
 
 
@@ -331,13 +348,12 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
         model, _ = model_from_checkpoint(loaded, ckpt_path)
         at = phases[loaded.phase_index]
         done = epochs.index((at, 0)) + loaded.epochs_done
-        mid_phase = loaded.epochs_done < at.epochs
         if not (loaded.epochs_done >= 1
-                and loaded.metadata.get("iteration") == done * per_epoch
-                and (not mid_phase or loaded.step_count == loaded.epochs_done * per_epoch)):
+                and loaded.metadata["iteration"] == done * per_epoch
+                and loaded.step_count == loaded.epochs_done * per_epoch):
             raise CheckpointError(
                 f"cannot resume: {ckpt_path} holds epoch {loaded.epochs_done}, iteration "
-                f"{loaded.metadata.get('iteration')!r} and optimizer step {loaded.step_count} "
+                f"{loaded.metadata['iteration']} and optimizer step {loaded.step_count} "
                 f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
         # the data root is not in the config digest, so the corpus can change under a run
         for key, now in (("normalization", norm.to_dict()), ("dataset", train.name)):
@@ -345,7 +361,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                 raise CheckpointError(
                     f"cannot resume: {ckpt_path} was trained on a split with {key} "
                     f"{loaded.metadata.get(key)!r}, but the training split now has {now!r}")
-        if mid_phase:
+        if loaded.epochs_done < at.epochs:
             # resuming mid-phase: the phase's optimizer carries on where it stopped
             optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
             _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
@@ -353,8 +369,9 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
             optimizer.step_count = loaded.step_count
     elif cfg["schedule.initial_weights"]:
         warm_path = cfg["schedule.initial_weights"]
-        model = _model_at(cfg, phases[0].bit_depth, load_checkpoint(warm_path).tensors,
-                          f"schedule.initial_weights {warm_path}")
+        origin = f"schedule.initial_weights {warm_path}"
+        teacher, _ = model_from_checkpoint(load_checkpoint(warm_path), origin)
+        model = _model_at(cfg, phases[0].bit_depth, teacher.params, origin)
     else:
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
         model = build_model(cfg.model_config(phases[0].bit_depth), rng=init_rng)

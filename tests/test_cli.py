@@ -385,6 +385,10 @@ def smoke_checkpoint(tmp_path_factory):
         return f.read()
 
 
+def _nudge_first_mean(meta):
+    meta["normalization"]["mean"][0] += 1e-9  # far below a float32 step
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (lambda meta: meta.update(config=meta["config"].replace("synth_size = 12", "synth_size = 14")),
      "the config text does not hash to the config digest"),
@@ -392,7 +396,13 @@ def smoke_checkpoint(tmp_path_factory):
     (lambda meta: meta.pop("normalization"), "the metadata holds no normalization for 3 channels"),
     (lambda meta: meta["normalization"]["mean"].append(0.5),
      "no normalization for 3 channels (ValueError: mean and std hold 4 and 3 values)"),
-], ids=["digest", "no-config", "no-normalization", "four-means"])
+    (_nudge_first_mean, "no normalization for 3 channels (ValueError: its values are not the float32 values"),
+    (lambda meta: meta.update(part="cyclic"), "part 'cyclic' is not phase 4's 'final'"),
+    *[(lambda meta, v=v: meta.update(iteration=v), f"iteration {v!r} is not a count of steps")
+      for v in (None, [1], "x", 3.7, -1, True)],
+], ids=["digest", "no-config", "no-normalization", "four-means", "mean-off-float32", "part",
+        "iteration-null", "iteration-list", "iteration-str", "iteration-float",
+        "iteration-negative", "iteration-bool"])
 def test_eval_refuses_checkpoint_metadata_that_does_not_fit(
         tmp_path, capsys, smoke_checkpoint, corrupt, expected):
     path = str(tmp_path / "checkpoint.bin")
@@ -402,7 +412,8 @@ def test_eval_refuses_checkpoint_metadata_that_does_not_fit(
     save_checkpoint(path, ck)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", path]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {path}: ") and expected in err
     assert not (tmp_path / "eval.csv").exists()
 
@@ -436,4 +447,4 @@ def test_eval_of_a_checkpoint_with_one_flipped_byte(tmp_path, capsys, smoke_chec
             if path not in err:
                 unnamed.append((at, err))
     assert (crashed, unnamed) == ([], [])
-    assert len(offsets) == 147 and refused >= 100
+    assert len(offsets) == 147 and refused >= 116

@@ -164,8 +164,10 @@ class TestIdx:
     def test_count_mismatch(self, tmp_path):
         write_idx(tmp_path / "train-images-idx3-ubyte", np.zeros((3, 2, 2), dtype=np.uint8))
         write_idx(tmp_path / "train-labels-idx1-ubyte", np.zeros(2, dtype=np.uint8))
-        with pytest.raises(ValueError, match="images but"):
+        with pytest.raises(ValueError, match="images but") as err:
             load_idx(str(tmp_path), "train")
+        assert str(err.value) == (f"{tmp_path / 'train-images-idx3-ubyte'} holds 3 images but "
+                                  f"{tmp_path / 'train-labels-idx1-ubyte'} holds 2 labels")
 
     def test_truncated_header_names_its_dimension_bytes(self, tmp_path):
         p = tmp_path / "train-images-idx3-ubyte"

@@ -637,6 +637,23 @@ def test_resume_refuses_a_cursor_the_plan_does_not_hold(tmp_path, corrupt, expec
     assert {f: (out / f).read_bytes() for f in before} == before
 
 
+def test_resume_refuses_a_phase_end_checkpoint_with_another_optimizer_step(tmp_path):
+    # the checkpoint covers 3 epochs and ends phase 2, whose optimizer took 2 steps
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    assert (ck.phase_index, ck.epochs_done, ck.step_count) == (2, 1, 2)
+    ck.step_count += 1
+    save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert path in str(err.value) and "holds epoch 1, iteration 6 and optimizer step 3" in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
 def test_resume_refuses_config_text_that_does_not_hash_to_its_digest(tmp_path):
     # the digest still matches the run's config; the text beside it was edited
     with pytest.raises(KeyboardInterrupt):
@@ -898,6 +915,25 @@ def test_warm_start_from_other_architecture_refused(tmp_path):
     assert not (out / "config.txt").exists()
 
 
+def test_warm_start_from_a_checkpoint_whose_config_text_was_edited_is_refused(tmp_path):
+    _run(tmp_path, "teacher", **{"schedule.mode": "single", "schedule.epochs": 1})
+    ckpt = str(tmp_path / "teacher" / "checkpoint.bin")
+    ck = load_checkpoint(ckpt)
+    ck.metadata["config"] = ck.metadata["config"].replace("synth_size = 12", "synth_size = 14")
+    save_checkpoint(ckpt, ck)
+    out = tmp_path / "student"
+    out.mkdir()
+    (out / "metrics.csv").write_bytes(b"earlier run\n")
+    values = tiny_values(**{"schedule.initial_weights": ckpt})
+    values["run.out_dir"] = str(out)
+    with pytest.raises(CheckpointError) as err:
+        run_schedule(RunConfig(values))
+    assert str(err.value).startswith(f"schedule.initial_weights {ckpt}: ")
+    assert "does not hash" in str(err.value)
+    assert sorted(os.listdir(out)) == ["metrics.csv"]
+    assert (out / "metrics.csv").read_bytes() == b"earlier run\n"
+
+
 def test_misshaped_checkpoint_tensor_is_named(tmp_path):
     _run(tmp_path, "run", **{"schedule.mode": "single", "schedule.epochs": 1})
     ck = load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
@@ -921,7 +957,9 @@ def test_misshaped_checkpoint_tensor_is_named(tmp_path):
     (lambda meta: meta.pop("config"), "the metadata has no 'config' entry"),
     (lambda meta: meta.update(bit_depth=4), "bit depth 4 is not phase 0's 2"),
     (lambda meta: meta.pop("bit_depth"), "bit depth None is not phase 0's 2"),
-], ids=["digest", "unknown-key", "bad-value", "invalid", "no-config", "bit-depth", "no-bit-depth"])
+    (lambda meta: meta.update(part="final"), "part 'final' is not phase 0's 'single'"),
+], ids=["digest", "unknown-key", "bad-value", "invalid", "no-config", "bit-depth", "no-bit-depth",
+        "part"])
 def test_model_from_checkpoint_names_the_file(tmp_path, corrupt, expected):
     _run(tmp_path, "run", **{"schedule.mode": "single", "schedule.bit_depth": 2,
                              "schedule.epochs": 1})
