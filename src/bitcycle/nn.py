@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _as_tensor, _node
+from .tensor import Tensor, _as_tensor, _needs_graph, _node
 
 # Every conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
 # power of two under the M*N*K = 10**6 up to which SkylakeX OpenBLAS takes its
@@ -112,7 +112,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
     band, pieces = _gemm_tiling(m, c, o)
     pm = m // pieces
-    need_dx = x.requires_grad or x._backward is not None
+    need_dx = _needs_graph(x)
 
     def rows(grid, t, q0, q1):
         # the rows tap t multiplies for output rows q0..q1-1, as (q1 - q0,
@@ -147,7 +147,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         # weight is copied to (taps, o, c): the capped pieces gain only
         # against a contiguous operand, not the transposed view.
         wkt = np.ascontiguousarray(wk.transpose(0, 2, 1))
-        dpad = np.zeros((hq, s, wq, s, n, c), dtype=np.result_type(g, wd))
+        dpad = np.zeros((hq, s, wq, s, n, c), dtype=np.result_type(g, wk))
         dgrid = dpad.transpose(1, 3, 0, 2, 4, 5)
         for r0 in range(0, hq, band):
             r1 = min(r0 + band, hq)
@@ -167,10 +167,11 @@ def linear(x, weight, bias) -> Tensor:
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ValueError(f"linear shape mismatch: input {x.data.shape} vs weight {weight.data.shape}")
-    out = x.data @ weight.data + bias.data
+    xd, wd = x.data, weight.data
+    out = xd @ wd + bias.data
 
     def backward(g):
-        return g @ weight.data.T, x.data.T @ g, g.sum(axis=0)
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
 
     return _node(out, (x, weight, bias), backward)
 
@@ -275,24 +276,23 @@ def _pool_windows(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int, f
 def max_pool2d(x, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Max pooling; ties route the gradient to the first (lowest-index) max."""
     x = _as_tensor(x)
-    xd = x.data
     kh = kw = window
     s = stride if stride is not None else window
-    win = _pool_windows(xd, kh, kw, s, padding, fill=-np.inf)
+    win = _pool_windows(x.data, kh, kw, s, padding, fill=-np.inf)
     n, c, oh, ow = win.shape[:4]
+    h, w = x.data.shape[2:]
     flat = win.reshape(n, c, oh, ow, kh * kw)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        hp, wp = xd.shape[2] + 2 * padding, xd.shape[3] + 2 * padding
-        dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+        dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
                 contrib = g * (idx == i * kw + j)
                 dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += contrib
         if padding:
-            return (dxp[:, :, padding : padding + xd.shape[2], padding : padding + xd.shape[3]],)
+            return (dxp[:, :, padding : padding + h, padding : padding + w],)
         return (dxp,)
 
     return _node(out, (x,), backward)
@@ -301,10 +301,10 @@ def max_pool2d(x, window: int, stride: int | None = None, padding: int = 0) -> T
 def avg_pool2d(x, window: int) -> Tensor:
     """Average pooling; backward spreads the gradient uniformly over the window."""
     x = _as_tensor(x)
-    xd = x.data
     kh = kw = s = window
-    win = _pool_windows(xd, kh, kw, s, 0, fill=0.0)
+    win = _pool_windows(x.data, kh, kw, s, 0, fill=0.0)
     n, c, oh, ow = win.shape[:4]
+    shape, dtype = x.data.shape, x.data.dtype
     out = win.mean(axis=(-2, -1))
     scale = 1.0 / (kh * kw)
 
@@ -312,7 +312,7 @@ def avg_pool2d(x, window: int) -> Tensor:
         # one add into a view of the windows (splitting axes never copies);
         # zeros plus the add turn a -0.0 gradient into +0.0, and rows and
         # columns no window covers stay zero
-        dx = np.zeros_like(xd)
+        dx = np.zeros(shape, dtype)
         tiles = dx[:, :, : oh * kh, : ow * kw].reshape(n, c, oh, kh, ow, kw)
         tiles += (g * scale)[:, :, :, None, :, None]
         return (dx,)

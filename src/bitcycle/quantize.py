@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _node
+from .tensor import Tensor, _needs_graph, _node
 
 REAL_BITS = 32
 
@@ -124,19 +124,27 @@ def apply_quantizer(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     return quantize_activations(x, spec.k)
 
 
+def ste_mask(pre_quant: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The straight-through window: True where lo <= input <= hi."""
+    return (pre_quant >= lo) & (pre_quant <= hi)
+
+
 def ste_backward(upstream: np.ndarray, pre_quant: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Pass the upstream gradient where lo <= input <= hi, zero elsewhere."""
-    mask = (pre_quant >= lo) & (pre_quant <= hi)
-    return upstream * mask
+    return upstream * ste_mask(pre_quant, lo, hi)
 
 
 def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
     """Forward apply_quantizer(t, spec); backward by the spec's kind.
 
-    An identity spec hands t back untouched, so no node is made. Both STEs mask the gradient to the input window: [-1, 1] for binary
-    weights, [0, 1] for activations. Multi-bit weights differentiate the
-    tanh normalization exactly, holding the max |tanh| scale fixed, and
-    treat the rounding as a straight pass-through.
+    An identity spec hands t back untouched, so no node is made. Both STEs
+    mask the gradient to the input window: [-1, 1] for binary weights,
+    [0, 1] for activations. Multi-bit weights differentiate the tanh
+    normalization exactly, holding the max |tanh| scale fixed, and treat
+    the rounding as a straight pass-through. The weight closures read the
+    live parameter; the activation closure saves only the window mask (one
+    byte an element, where the float input would take four or eight), and
+    only when a graph is recorded, so an eval forward makes no mask.
     """
     if spec.identity:
         return t
@@ -148,11 +156,14 @@ def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
             # updates it, so tanh and its max are those the forward pass used
             th = np.tanh(d)
             return (g * (1.0 - th * th) / np.max(np.abs(th)),)
+    elif spec.kind == "weight_binary":
+        def backward(g):
+            return (ste_backward(g, d, -1.0, 1.0),)
     else:
-        lo = -1.0 if spec.kind == "weight_binary" else 0.0
+        mask = ste_mask(d, 0.0, 1.0) if _needs_graph(t) else None
 
         def backward(g):
-            return (ste_backward(g, d, lo, 1.0),)
+            return (g * mask,)
 
     return _node(out, (t,), backward)
 

@@ -6,11 +6,20 @@ replays the recorded graph in reverse topological order. Data lives in
 plain numpy arrays (float32 for training, float64 for gradient checks)
 and ops preserve the dtype they are given.
 
-``backward`` consumes the graph it walks: each interior node lets go of
-its parents and its closure (the forward activations the closure saved)
-as soon as its parents hold their gradients, so a training step's
-activations are freed during the walk rather than when the caller drops
-the loss. A second ``backward`` through a walked node raises.
+An op output's graph state (its parents, backward closure, gradient and
+dtype) is a ``_Node`` apart from the output's ``data``, and a node's
+parents are other nodes, or the leaf Tensors themselves, never the op
+outputs. So what outlives a forward is the graph state plus whatever the
+closures captured: an output's array lives on only while user code holds
+the Tensor or a backward closure saved it. Closures capture arrays,
+masks and shapes, never a Tensor, and each saves only what its backward
+reads.
+
+``backward`` consumes the graph it walks: each node lets go of its
+parents and its closure (the arrays the closure saved) as soon as its
+parents hold their gradients, so a training step's activations are freed
+during the walk rather than when the caller drops the loss. A second
+``backward`` through a walked node raises.
 
 Freeing activations mid-walk and allocating them again in the next
 forward is what glibc's default malloc handles worst: its dynamic
@@ -73,16 +82,34 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """An op output's graph state: parents, backward closure, gradient, dtype.
+
+    The parents are the inputs' graph entries: their nodes, or the leaf
+    Tensors themselves. The output's ``data`` is not kept here, so the
+    graph holds an array only through a closure that saved it.
+    """
+
+    __slots__ = ("_parents", "_backward", "grad", "dtype")
+
+    def __init__(self, parents: list, backward: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]], dtype):
+        self._parents = parents
+        self._backward = backward
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+
+
 class Tensor:
-    """A numpy array plus an optional gradient and a tape node.
+    """A numpy array plus an optional gradient and graph state.
 
     ``requires_grad`` marks the tensor as a gradient sink; ``grad`` is
     allocated lazily on the first accumulation and always matches
-    ``data``'s shape and dtype. Created tensors are leaves; ops return
-    interior tensors wired to their parents through a backward closure.
+    ``data``'s shape and dtype. Created tensors are leaves and are their own
+    graph entry; an op output recorded under a graph carries a ``_Node``
+    that wires it to its parents through a backward closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_graph")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -91,8 +118,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
+        self._graph: Optional[_Node] = None
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -100,6 +126,10 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -111,12 +141,14 @@ class Tensor:
     # ------------------------------------------------------------------
     # autograd engine
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy: ops may hand one array to several parents, or a view
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
+    @property
+    def _backward(self):
+        """The recording op's backward closure; None for a leaf or a no_grad output."""
+        return None if self._graph is None else self._graph._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._graph._backward = fn
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode accumulation from this tensor, consuming the graph.
@@ -124,12 +156,11 @@ class Tensor:
         Without an explicit seed the tensor must be scalar. Every node in
         the recorded graph is visited exactly once, in reverse topological
         order. Leaves accumulate their gradient into ``grad`` across calls.
-        An interior node (one with a backward closure, this tensor included)
-        drops its ``grad``, its parents and its closure once its parents
-        have received their gradients, so the walk frees each saved
-        activation as soon as nothing below it needs it. A walked node
-        keeps its ``data``; a later ``backward`` that reaches it raises
-        ``RuntimeError``.
+        A node (this tensor's included) drops its ``grad``, its parents and
+        its closure once its parents have received their gradients, so the
+        walk frees each saved activation as soon as nothing below it needs
+        it. An op output keeps its ``data``; a later ``backward`` that
+        reaches its walked node raises ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -141,10 +172,13 @@ class Tensor:
             grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError(f"seed gradient shape {grad.shape} != output shape {self.data.shape}")
+        if self._graph is None:  # a leaf: nothing above it to walk
+            _accumulate(self, grad)
+            return
 
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._graph, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -155,26 +189,22 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if type(p) is _Node and id(p) not in seen:
                     stack.append((p, False))
 
-        self._accumulate(grad)
+        _accumulate(self._graph, grad)
         while order:
             # popping drops the walk's own reference, so a node nothing
             # else holds is freed as soon as the next one is taken
             node = order.pop()
             backward, parents = node._backward, node._parents
-            if backward is None:
-                continue
             g, node.grad = node.grad, None
             node._backward, node._parents = _walked, ()
             if g is None:
                 continue
             for parent, pg in zip(parents, backward(g)):
-                if pg is None:
-                    continue
-                if parent.requires_grad or parent._backward is not None:
-                    parent._accumulate(pg)
+                if pg is not None and (type(parent) is _Node or parent.requires_grad):
+                    _accumulate(parent, pg)
 
     # ------------------------------------------------------------------
     # operators
@@ -215,6 +245,14 @@ def _walked(g):
                        "run the forward again to record a new graph")
 
 
+def _accumulate(entry: Tensor | _Node, g: np.ndarray) -> None:
+    if entry.grad is None:
+        # a copy: ops may hand one array to several parents, or a view
+        entry.grad = np.array(g, dtype=entry.dtype)
+    else:
+        entry.grad += g
+
+
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -224,14 +262,13 @@ def _as_tensor(x) -> Tensor:
 def _needs_graph(*tensors: Tensor) -> bool:
     if not _grad_enabled:
         return False
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    return any(t.requires_grad or t._graph is not None for t in tensors)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _needs_graph(*parents):
-        out._parents = parents
-        out._backward = backward
+        out._graph = _Node([p._graph or p for p in parents], backward, out.data.dtype)
     return out
 
 
@@ -253,19 +290,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
+    ashape, bshape = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
     return _node(out, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _node(out, (a, b), backward)
 
@@ -307,9 +346,10 @@ def reshape(x, *shape) -> Tensor:
 def tsum(x) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(x.data.sum())
+    shape = x.data.shape
 
     def backward(g):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _node(out, (x,), backward)
 
@@ -317,10 +357,10 @@ def tsum(x) -> Tensor:
 def tmean(x) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(x.data.mean())
-    n = x.data.size
+    n, shape = x.data.size, x.data.shape
 
     def backward(g):
-        return (np.broadcast_to(g / n, x.data.shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _node(out, (x,), backward)
 
@@ -331,9 +371,10 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
     return _node(out, (a, b), backward)

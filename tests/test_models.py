@@ -1,5 +1,6 @@
 """Model zoo: topology, quantization placement, weight hand-off."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import bitcycle.models as models
 from bitcycle.models import ModelConfig, QuantResNet, build_model, desk_config, transfer_weights
-from bitcycle.tensor import Tensor, no_grad
+from bitcycle.tensor import Tensor, _Node, no_grad
 
 
 def tiny_config(bit_depth=32, block_kind="type2"):
@@ -189,8 +190,9 @@ class TestGradientFlow:
 
     @staticmethod
     def _topo_order(root):
-        """Every node of root's graph, parents before children."""
-        order, seen, stack = [], set(), [(root, False)]
+        """Every graph entry above root, parents before children: the op
+        nodes and the leaf Tensors, which are their own entries."""
+        order, seen, stack = [], set(), [(root._graph, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -198,60 +200,117 @@ class TestGradientFlow:
             elif id(node) not in seen:
                 seen.add(id(node))
                 stack.append((node, True))
-                stack.extend((p, False) for p in node._parents if id(p) not in seen)
+                parents = node._parents if isinstance(node, _Node) else ()
+                stack.extend((p, False) for p in parents if id(p) not in seen)
         return order
 
     @classmethod
     def _grads_without_release(cls, root):
-        """Every node's gradient by a walk that keeps them all, keyed by id."""
+        """Every entry's gradient by a walk that keeps them all, keyed by id."""
         order = cls._topo_order(root)
-        grads = {id(root): np.ones_like(root.data)}
+        grads = {id(root._graph): np.ones_like(root.data)}
         for node in reversed(order):
-            if node._backward is None or id(node) not in grads:
+            if not isinstance(node, _Node) or id(node) not in grads:
                 continue
             for parent, g in zip(node._parents, node._backward(grads[id(node)])):
-                if g is None or not (parent.requires_grad or parent._backward is not None):
+                if g is None or not (isinstance(parent, _Node) or parent.requires_grad):
                     continue
                 if id(parent) in grads:
                     grads[id(parent)] += g
                 else:
-                    grads[id(parent)] = np.array(g, dtype=parent.data.dtype)
+                    grads[id(parent)] = np.array(g, dtype=parent.dtype)
         return grads, order
+
+    @staticmethod
+    def _training_loss(cfg):
+        from bitcycle.nn import softmax_cross_entropy
+
+        model = build_model(cfg, np.random.default_rng(3))
+        x = rand_images(4, 3, 16, seed=5)
+        labels = np.random.default_rng(4).integers(0, 4, size=4)
+        return model, x, labels, softmax_cross_entropy(model.forward(x, training=True), labels)
 
     @pytest.mark.parametrize("bit_depth", [1, 32])
     def test_backward_keeps_only_leaf_grads(self, bit_depth):
-        from bitcycle.nn import softmax_cross_entropy
-
-        model = build_model(tiny_config(bit_depth=bit_depth), np.random.default_rng(3))
-        labels = np.random.default_rng(4).integers(0, 4, size=4)
-        loss = softmax_cross_entropy(model.forward(rand_images(4, 3, 16, seed=5), training=True), labels)
+        model, _, _, loss = self._training_loss(tiny_config(bit_depth=bit_depth))
         kept, order = self._grads_without_release(loss)
         loss.backward()
-        interior = [t for t in order if t._backward is not None]
+        interior = [t for t in order if isinstance(t, _Node)]
         assert len(interior) > 10 and all(t.grad is None for t in interior)
         for name, p in model.trainable():
             assert p.grad is not None and np.array_equal(p.grad, kept[id(p)]), name
 
     @pytest.mark.parametrize("bit_depth", [1, 32])
     def test_backward_frees_the_graph_while_the_loss_is_held(self, bit_depth):
-        from bitcycle.nn import softmax_cross_entropy
-
-        model = build_model(tiny_config(bit_depth=bit_depth), np.random.default_rng(3))
-        x = rand_images(4, 3, 16, seed=5)
-        labels = np.random.default_rng(4).integers(0, 4, size=4)
-        loss = softmax_cross_entropy(model.forward(x, training=True), labels)
-        # every interior output and every array a closure saved, except
-        # those the caller still holds: the weights, the batch and the loss
+        model, x, labels, loss = self._training_loss(tiny_config(bit_depth=bit_depth))
+        # every array a closure saved, except those the caller still holds:
+        # the weights, the batch and the loss
         held = {id(a) for a in (x.data, labels, loss.data, *(p.data for p in model.params.values()))}
-        nodes = [t for t in self._topo_order(loss) if t._backward is not None]
-        arrays = [t.data for t in nodes if t is not loss]
-        arrays += [c.cell_contents for t in nodes for c in t._backward.__closure__ or ()
-                   if isinstance(c.cell_contents, np.ndarray)]
+        nodes = [t for t in self._topo_order(loss) if isinstance(t, _Node)]
+        arrays = [c.cell_contents for t in nodes for c in t._backward.__closure__ or ()
+                  if isinstance(c.cell_contents, np.ndarray)]
         refs = [weakref.ref(a) for a in arrays if id(a) not in held]
         del nodes, arrays
         assert len(refs) > 20 and all(r() is not None for r in refs)
         loss.backward()
         assert [r for r in refs if r() is not None] == []
+
+    @pytest.mark.parametrize("stem,block_kind", [("cifar", "type2"), ("imagenet", "type1")])
+    def test_no_backward_closure_holds_a_tensor(self, stem, block_kind):
+        def captured(fn):
+            # what fn's closure cells hold, through nested functions and containers
+            stack = [c.cell_contents for c in fn.__closure__ or ()]
+            while stack:
+                obj = stack.pop()
+                yield obj
+                if callable(obj) and getattr(obj, "__closure__", None):
+                    stack.extend(c.cell_contents for c in obj.__closure__)
+                elif isinstance(obj, (tuple, list)):
+                    stack.extend(obj)
+
+        cfg = dataclasses.replace(tiny_config(bit_depth=1, block_kind=block_kind), stem=stem)
+        _, _, _, loss = self._training_loss(cfg)
+        nodes = [t for t in self._topo_order(loss) if isinstance(t, _Node)]
+        assert len(nodes) > 10 and any(callable(o) for t in nodes for o in captured(t._backward))
+        held = [(t, type(o).__name__) for t in nodes for o in captured(t._backward)
+                if isinstance(o, (Tensor, _Node))]
+        assert held == []
+
+    def test_residual_bn_outputs_die_before_backward(self, monkeypatch):
+        # a BN output that feeds only a residual add is read by no backward,
+        # so nothing keeps it, or the array its NCHW view is cut from
+        from bitcycle import nn
+
+        clean = nn.batch_norm
+        outputs = []  # per call: gamma, and weakrefs to the output's arrays
+
+        def recording(x, gamma, *args, **kw):
+            out = clean(x, gamma, *args, **kw)
+            outputs.append((gamma, [weakref.ref(a) for a in (out.data, out.data.base) if a is not None]))
+            return out
+
+        monkeypatch.setattr(nn, "batch_norm", recording)
+        model, _, _, loss = self._training_loss(tiny_config(bit_depth=1))
+        names = {id(p): n for n, p in model.params.items()}
+        refs = [r for gamma, rs in outputs if names[id(gamma)].endswith((".bn2.gamma", ".down.bn.gamma"))
+                for r in rs]
+        assert len(refs) == 6 and [r for r in refs if r() is not None] == []
+        loss.backward()
+
+    def test_activation_quantizer_saves_only_a_bool_mask(self, monkeypatch):
+        clean = models.fq_activations
+        saved = []  # per call: the input's shape and the closure's cell contents
+
+        def recording(x, k):
+            out = clean(x, k)
+            saved.append((x.shape, [c.cell_contents for c in out._backward.__closure__]))
+            return out
+
+        monkeypatch.setattr(models, "fq_activations", recording)
+        self._training_loss(tiny_config(bit_depth=1))[3].backward()
+        assert len(saved) == 3
+        for shape, cells in saved:
+            assert len(cells) == 1 and cells[0].dtype == np.bool_ and cells[0].shape == shape
 
     def test_last_conv_saves_are_freed_before_the_first_conv_backward(self, monkeypatch):
         from bitcycle import nn

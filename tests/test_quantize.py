@@ -15,6 +15,7 @@ from bitcycle.quantize import (
     quantize_weights_binary,
     quantize_weights_kbit,
     ste_backward,
+    ste_mask,
     weight_spec,
 )
 from bitcycle.tensor import Tensor
@@ -239,6 +240,19 @@ class TestSte:
         g = rng.standard_normal(100)
         x = rng.uniform(-0.99, 0.99, 100)
         np.testing.assert_array_equal(ste_backward(g, x, -1.0, 1.0), g)
+
+    def test_mask_matches_oracle(self):
+        # both windows the training path uses, in both dtypes, with every
+        # boundary and the values one step outside it
+        rng = np.random.default_rng(12)
+        for dtype in (np.float32, np.float64):
+            edges = np.array([-1.0, 0.0, 1.0], dtype=dtype)
+            x = np.concatenate([rng.uniform(-1.5, 1.5, 300).astype(dtype), edges,
+                                np.nextafter(edges, dtype(-2.0)), np.nextafter(edges, dtype(2.0))])
+            for lo in (-1.0, 0.0):
+                mask = ste_mask(x, lo, 1.0)
+                ref = oracle_quant.ref_ste_mask([float(v) for v in x], lo, 1.0)
+                assert mask.dtype == np.bool_ and (mask == np.asarray(ref, dtype=bool)).all()
 
 
 class TestFakeQuantNodes:

@@ -46,7 +46,7 @@ class TestBasics:
         with no_grad():
             y = x * 2.0
         assert y._backward is None
-        assert y._parents == ()
+        assert y._graph is None
 
     def test_zero_upstream_gives_zero_grads(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
@@ -74,7 +74,8 @@ class TestBasics:
                 root.backward()
         np.testing.assert_array_equal(x.grad, [7.0, -11.0])
         assert z.grad is None and y.grad is None
-        assert y._parents == () and z._parents == ()
+        assert y._graph.grad is None and z._graph.grad is None
+        assert y._graph._parents == () and z._graph._parents == ()
 
     def test_leaf_grads_are_private_copies(self):
         # add hands one array to both parents and reshape hands up a view,
