@@ -98,7 +98,7 @@ def _cmd_eval(args, values: dict) -> int:
     if args.data is not None:
         cfg = RunConfig({**cfg.values, "data.root": args.data})
     test = load_split(cfg, "test")
-    batch_size = cfg["data.batch_size"] if args.batch_size is None else args.batch_size
+    batch_size = cfg.eval_batch_size() if args.batch_size is None else args.batch_size
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
     print(f"phase {ck.phase_index} ({ck.metadata['part']}), "

@@ -239,5 +239,9 @@ class RunConfig:
 
         return self.view(OptimizerConfig, "optimizer")
 
+    def eval_batch_size(self) -> int:
+        """The batch size a run evaluates at: data.eval_batch_size, or data.batch_size where that is 0."""
+        return self["data.eval_batch_size"] or self["data.batch_size"]
+
     def data_root(self) -> str:
         return self["data.root"] or os.environ.get(DATA_ROOT_ENV, "")

@@ -23,6 +23,14 @@ such as the image batch, gets none. Backward rebuilds the padded copy
 instead of keeping it alive, trading a little compute for a smaller peak
 footprint.
 
+Backward keeps the input array, unless the input is an activation
+quantizer's output recorded under a graph (``Tensor._lattice``). Then it
+keeps that output's lattice indices j instead, one byte an element for
+k <= 8 where float32 takes four, and the float output dies with the
+forward. The rebuilt grid casts j exactly, then divides by 2^k - 1 in the
+float dtype with the quantizer's own ``index_to_unit``, which is the
+forward's last step, so every value and gradient keeps its bits.
+
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
 height. The weight gradient sums its ow*n rows piece by piece, so P moves
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quantize import index_to_unit
 from .tensor import Tensor, _as_tensor, _needs_graph, _node
 
 # Every conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
@@ -67,18 +76,19 @@ def _gemm_tiling(m: int, c: int, o: int) -> tuple[int, int]:
 
 
 def _padded_grid(xd: np.ndarray, stride: int, padding: int, hq: int, wq: int,
-                 na: int, nb: int) -> np.ndarray:
+                 na: int, nb: int, dtype) -> np.ndarray:
     """Zero-padded batch-inner copy of an NCHW batch, split into stride phases.
 
     Returns an (na, nb, hq, wq, n, c) array. Pixel (q, r) of phase (a, b)
     holds padded pixel (q*stride + a, r*stride + b) of every image, so the
     pixels one kernel tap reads for one output row are one contiguous run of
     ow*n rows of c channels. Only the phases some tap reads (a < na, b < nb)
-    are built, each filled from one strided slice of the input.
+    are built, each filled from one strided slice of the input, cast to
+    dtype on assignment.
     """
     n, c, h, w = xd.shape
     s, p = stride, padding
-    grid = np.zeros((na, nb, hq, wq, n, c), dtype=xd.dtype)
+    grid = np.zeros((na, nb, hq, wq, n, c), dtype=dtype)
     xl = xd.transpose(2, 3, 0, 1)
     for a in range(na):
         q0 = -(-max(p - a, 0) // s)  # first phase row inside the image
@@ -113,6 +123,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     band, pieces = _gemm_tiling(m, c, o)
     pm = m // pieces
     need_dx = _needs_graph(x)
+    # backward keeps a quantized input as its lattice indices (module docstring)
+    saved, k = (xd, None) if x._lattice is None else x._lattice
+    dtype = xd.dtype
 
     def rows(grid, t, q0, q1):
         # the rows tap t multiplies for output rows q0..q1-1, as (q1 - q0,
@@ -120,7 +133,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         a, b, di, dj = taps[t]
         return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, pieces, pm, c)
 
-    grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
+    grid = _padded_grid(xd, s, padding, hq, wq, na, nb, dtype)
     acc = np.empty((oh, pieces, pm, o), dtype=np.result_type(xd, wd))
     for q0 in range(0, oh, band):
         q1 = min(q0 + band, oh)
@@ -132,7 +145,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
-        grid = _padded_grid(xd, s, padding, hq, wq, na, nb)
+        grid = _padded_grid(saved, s, padding, hq, wq, na, nb, dtype)
+        if k is not None:
+            index_to_unit(grid, k)  # the forward's own division, so every bit agrees
         # dw: one stacked product per tap, a GEMM per output row and piece,
         # summed in ascending (row, piece) order
         gt = g4.transpose(0, 1, 3, 2)

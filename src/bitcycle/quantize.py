@@ -4,9 +4,11 @@ Quantizers run in the forward pass only; the real-valued master tensors keep
 receiving gradient updates. Weight quantization normalizes through tanh into
 [0, 1], snaps onto a uniform lattice of 2^k levels, and maps back to [-1, 1];
 the binary case uses sign times the mean magnitude instead. Activations are
-clamped to [0, 1] and snapped onto the same kind of lattice. Bit depth 32
-means quantization is disabled: apply_quantizer and the fake-quant nodes
-are the identity there, and QuantSpec.identity is the one place that says so.
+clamped to [0, 1] and snapped onto the same kind of lattice: an index j
+in 0..2^k - 1 (``activation_index``), then j / (2^k - 1)
+(``index_to_unit``). Bit depth 32 means quantization is disabled:
+apply_quantizer and the fake-quant nodes are the identity there, and
+QuantSpec.identity is the one place that says so.
 
 Rounding is half-away-from-zero everywhere, applied identically here and in
 any reference evaluation; numpy's round (banker's rounding) is deliberately
@@ -96,22 +98,33 @@ def quantize_weights_binary(w: np.ndarray) -> np.ndarray:
     return np.where(w >= 0, m, -m)
 
 
-def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
-    """Clamp to [0, 1] and snap onto the k-bit lattice."""
+def activation_index(x: np.ndarray, k: int) -> np.ndarray:
+    """The k-bit lattice index of each activation, floor(clip(x, 0, 1) * L + 0.5)
+    with L = 2^k - 1, as whole numbers in a new float array."""
     if k < 1:
         raise ValueError(f"activation bit depth must be >= 1, got {k}")
-    levels = float(2 ** k - 1)
     # clip makes the one new array (float even for integer input); the
     # lattice snap then runs in place on it. At k = 1 (one level) the scale
-    # and unscale are exact no-ops, so they are skipped.
+    # is an exact no-op, so it is skipped.
     q = np.asarray(np.clip(x, 0.0, 1.0))
     if k > 1:
-        q *= levels
+        q *= float(2 ** k - 1)
     q += 0.5
     np.floor(q, out=q)
-    if k > 1:
-        q /= levels
     return q
+
+
+def index_to_unit(q: np.ndarray, k: int) -> np.ndarray:
+    """Divide float lattice indices by 2^k - 1 in place, onto [0, 1]; at k = 1
+    the division is by one, so it is skipped."""
+    if k > 1:
+        q /= float(2 ** k - 1)
+    return q
+
+
+def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
+    """Clamp to [0, 1] and snap onto the k-bit lattice."""
+    return index_to_unit(activation_index(x, k), k)
 
 
 def apply_quantizer(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -143,12 +156,36 @@ def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
     normalization exactly, holding the max |tanh| scale fixed, and treat
     the rounding as a straight pass-through. The weight closures read the
     live parameter; the activation closure saves only the window mask (one
-    byte an element, where the float input would take four or eight), and
-    only when a graph is recorded, so an eval forward makes no mask.
+    byte an element, where the float input would take four or eight).
+
+    Only when a graph is recorded, the activation output also carries its
+    lattice indices j in the smallest unsigned dtype that holds them (one
+    byte for k <= 8) and k, as ``_lattice``. A conv's backward keeps those
+    instead of the float output and rebuilds j / (2^k - 1) with the
+    forward's own cast and division (``index_to_unit``), so no bit moves.
+    An eval forward makes neither the mask nor the indices.
     """
     if spec.identity:
         return t
     d = t.data
+    if spec.kind == "activation":
+        graph = _needs_graph(t)
+        mask = ste_mask(d, 0.0, 1.0) if graph else None
+        q = activation_index(d, spec.k)
+        lattice = None
+        if graph:
+            # NaN has no index (its cast is arbitrary); the float output
+            # carries the NaN on, and the batch norm after a model's conv
+            # then makes every gradient reaching that conv NaN
+            with np.errstate(invalid="ignore"):
+                lattice = (q.astype(np.min_scalar_type(2 ** spec.k - 1)), spec.k)
+
+        def backward(g):
+            return (g * mask,)
+
+        out = _node(index_to_unit(q, spec.k), (t,), backward)
+        out._lattice = lattice
+        return out
     out = apply_quantizer(d, spec).astype(d.dtype, copy=False)
     if spec.kind == "weight_multi_bit":
         def backward(g):
@@ -156,15 +193,9 @@ def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
             # updates it, so tanh and its max are those the forward pass used
             th = np.tanh(d)
             return (g * (1.0 - th * th) / np.max(np.abs(th)),)
-    elif spec.kind == "weight_binary":
+    else:
         def backward(g):
             return (ste_backward(g, d, -1.0, 1.0),)
-    else:
-        mask = ste_mask(d, 0.0, 1.0) if _needs_graph(t) else None
-
-        def backward(g):
-            return (g * mask,)
-
     return _node(out, (t,), backward)
 
 

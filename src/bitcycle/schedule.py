@@ -322,7 +322,6 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     norm = D.Normalization.from_train(train)
     policy = cfg.view(D.AugmentPolicy, "data") if cfg["data.augment"] else None
     batch_size = cfg["data.batch_size"]
-    eval_bs = cfg["data.eval_batch_size"] or batch_size
     if batch_size > len(train.labels):
         raise ConfigError(
             f"data.batch_size {batch_size} exceeds the training set size {len(train.labels)}"
@@ -411,7 +410,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
                     if not np.isfinite(p.data).all():
                         raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
                 loss_sum += loss.item()
-            top1, top5, _ = evaluate(model, test, eval_bs, norm)
+            top1, top5, _ = evaluate(model, test, cfg.eval_batch_size(), norm)
             row = MetricsRow(
                 phase=phase.index, part=phase.part, bit_depth=phase.bit_depth,
                 epoch=epoch + 1, iteration=(g + 1) * per_epoch, lr=lr,

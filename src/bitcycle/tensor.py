@@ -106,10 +106,13 @@ class Tensor:
     allocated lazily on the first accumulation and always matches
     ``data``'s shape and dtype. Created tensors are leaves and are their own
     graph entry; an op output recorded under a graph carries a ``_Node``
-    that wires it to its parents through a backward closure.
+    that wires it to its parents through a backward closure. An activation
+    quantizer's output recorded under a graph also carries ``_lattice``,
+    its lattice indices and bit depth, for a consumer's backward to keep
+    in place of ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_graph")
+    __slots__ = ("data", "grad", "requires_grad", "_graph", "_lattice")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -119,6 +122,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._graph: Optional[_Node] = None
+        self._lattice: Optional[tuple[np.ndarray, int]] = None
 
     # ------------------------------------------------------------------
     # basic introspection

@@ -207,6 +207,23 @@ def test_eval_batch_size_invariant(tiny_cfg, tmp_path, capsys):
     assert rows[0].eval_top5 == rows[1].eval_top5
 
 
+def test_eval_defaults_to_the_runs_own_eval_batch_size(tiny_cfg, tmp_path, capsys):
+    # batch size moves the eval loss in its last bits, so only the run's own
+    # eval batch size reproduces what the run scored
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg, "--out", out, "--quiet",
+                 "--override", "data.eval_batch_size=3"]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    scores = []
+    for extra in ([], ["--batch-size", "3"]):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, *extra]) == 0
+        scores.append(re.search(r"top1=(\S+) top5=(\S+) loss=(\S+)", capsys.readouterr().out).groups())
+    assert scores[0] == scores[1]
+    last = read_metrics(os.path.join(out, "metrics.csv"))[-1]
+    assert scores[0][:2] == (repr(last.eval_top1), repr(last.eval_top5))
+
+
 @pytest.mark.parametrize("batch_size", ["0", "-4"])
 def test_eval_refuses_a_batch_size_below_one(tiny_cfg, tmp_path, capsys, batch_size):
     out = str(tmp_path / "run")

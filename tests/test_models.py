@@ -312,6 +312,39 @@ class TestGradientFlow:
         for shape, cells in saved:
             assert len(cells) == 1 and cells[0].dtype == np.bool_ and cells[0].shape == shape
 
+    @pytest.mark.parametrize("block_kind", ["type2", "type1"])
+    @pytest.mark.parametrize("bit_depth", [1, 2])
+    def test_quantized_convs_save_lattice_indices_not_floats(self, monkeypatch, bit_depth, block_kind):
+        # a conv fed a quantizer's output keeps the 1-byte lattice indices of
+        # its input, so the float output dies with the forward
+        from bitcycle import nn
+
+        clean_fq, clean_conv = models.fq_activations, nn.conv2d
+        quantized = []  # weakrefs to each fake-quant output's arrays
+        convs = []      # per conv fed one: its input's shape and its closure's arrays
+
+        def fq(x, k):
+            out = clean_fq(x, k)
+            quantized.append([weakref.ref(a) for a in (out.data, out.data.base) if a is not None])
+            return out
+
+        def conv(x, weight, *args, **kw):
+            out = clean_conv(x, weight, *args, **kw)
+            if any(rs[0]() is x.data for rs in quantized):
+                convs.append((x.shape, [c.cell_contents for c in out._backward.__closure__
+                                        if isinstance(c.cell_contents, np.ndarray)]))
+            return out
+
+        monkeypatch.setattr(models, "fq_activations", fq)
+        monkeypatch.setattr(nn, "conv2d", conv)
+        _, _, _, loss = self._training_loss(tiny_config(bit_depth=bit_depth, block_kind=block_kind))
+        assert len(quantized) == 3 and len(convs) == (4 if block_kind == "type1" else 3)
+        for shape, arrays in convs:
+            indices = [a for a in arrays if a.shape == shape]
+            assert len(indices) == 1 and indices[0].dtype == np.uint8, [a.dtype for a in indices]
+        assert [r for rs in quantized for r in rs if r() is not None] == []
+        loss.backward()
+
     def test_last_conv_saves_are_freed_before_the_first_conv_backward(self, monkeypatch):
         from bitcycle import nn
 

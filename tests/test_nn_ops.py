@@ -20,6 +20,7 @@ from bitcycle.nn import (
     max_pool2d,
     softmax_cross_entropy,
 )
+from bitcycle.quantize import fq_activations, ste_mask
 from bitcycle.tensor import Tensor, no_grad
 
 from gradcheck import gradcheck
@@ -118,6 +119,57 @@ class TestConv2d:
             x = rng.standard_normal((2, 3, size, size))
             w = rng.standard_normal((4, 3, k, k))
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_lattice_index_input_keeps_every_gradient_bit(self, k, dtype):
+        # a conv fed a quantizer's output keeps its 1-byte lattice indices,
+        # not the floats, and rebuilds the floats in backward; dx and dw must
+        # equal those of the same floats fed as a plain Tensor
+        rng = np.random.default_rng(21)
+        q = fq_activations(Tensor(rng.uniform(-0.2, 1.2, (3, 4, 9, 8)).astype(dtype), requires_grad=True), k)
+        index = q._lattice[0]
+        assert index.dtype == np.uint8
+        for kernel, stride in itertools.product((1, 3), (1, 2)):
+            w = Tensor(rng.standard_normal((5, 4, kernel, kernel)).astype(dtype), requires_grad=True)
+            fed = conv2d(q, w, stride=stride, padding=kernel // 2)
+            plain = conv2d(Tensor(q.data.copy(), requires_grad=True), w, stride=stride, padding=kernel // 2)
+            cells = [c.cell_contents for c in fed._backward.__closure__]
+            assert any(c is index for c in cells) and not any(c is q.data for c in cells)
+            np.testing.assert_array_equal(fed.data, plain.data)
+            g = rng.standard_normal(fed.shape).astype(dtype)
+            for a, b in zip(fed._backward(g), plain._backward(g)):
+                assert a.dtype == b.dtype == dtype
+                np.testing.assert_array_equal(a, b, err_msg=f"kernel {kernel} stride {stride}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_convs_sharing_one_lattice_index(self, dtype):
+        # a type1 block feeds one quantized input to conv1 and to the
+        # downsample conv: both keep the one index array, and the input's
+        # gradient is the plain floats' gradient through the quantizer's mask
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.uniform(-0.2, 1.2, (4, 6, 8, 8)).astype(dtype), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((8, 6, 3, 3)).astype(dtype), requires_grad=True)
+        wd = Tensor(rng.standard_normal((8, 6, 1, 1)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((4, 8, 4, 4)).astype(dtype)
+        grads = []
+        for fed in (True, False):
+            q = fq_activations(x, 2)
+            inp = q if fed else Tensor(q.data.copy(), requires_grad=True)
+            convs = (conv2d(inp, w1, stride=2, padding=1), conv2d(inp, wd, stride=2))
+            if fed:
+                saved = [[c.cell_contents for c in y._backward.__closure__
+                          if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
+                         for y in convs]
+                assert [len(a) for a in saved] == [1, 1] and saved[0][0] is saved[1][0] is q._lattice[0]
+            del q
+            ((convs[0] * g).sum() + (convs[1] * g).sum()).backward()
+            grads.append((x.grad if fed else inp.grad * ste_mask(x.data, 0.0, 1.0), w1.grad, wd.grad))
+            for t in (x, w1, wd):
+                t.grad = None
+        for a, b in zip(*grads):
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
 
     @staticmethod
     def _assert_band_size_keeps_bits(monkeypatch, n, c, o, size, k, stride, pad, dtype, seed,

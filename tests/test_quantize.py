@@ -18,7 +18,7 @@ from bitcycle.quantize import (
     ste_mask,
     weight_spec,
 )
-from bitcycle.tensor import Tensor
+from bitcycle.tensor import Tensor, no_grad
 
 import oracle_quant
 
@@ -196,13 +196,18 @@ class TestOracleAgreement:
         def around(v):
             return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
 
-        for k in range(1, 9):
+        # the index a recording node saves for conv's backward, over the
+        # quantized depths and one past a byte
+        for k in (*range(1, 9), 12):
             levels = 2 ** k - 1
             mid = (np.arange(levels) + 0.5) / levels
             x = around(mid)
-            ref = oracle_quant.ref_quantize_activations(list(x), k)
-            assert (quantize_activations(x, k) == np.asarray(ref)).all()
-            if k >= 2:
+            ref = np.asarray(oracle_quant.ref_quantize_activations(list(x), k))
+            assert (quantize_activations(x, k) == ref).all()
+            index, bits = fq_activations(Tensor(x, requires_grad=True), k)._lattice
+            assert bits == k and index.dtype == (np.uint8 if k <= 8 else np.uint16)
+            assert (index / levels == ref).all()
+            if 2 <= k <= 8:
                 w = around(np.append(np.arctanh(2.0 * mid - 1.0), 20.0))
                 ref = oracle_quant.ref_quantize_weights_kbit(list(w), k)
                 assert (quantize_weights_kbit(w, k) == np.asarray(ref)).all()
@@ -217,9 +222,11 @@ class TestOracleAgreement:
                      else oracle_quant.ref_quantize_weights_kbit(list(w), k))
             got_w = fq_weights(Tensor(w, requires_grad=True), k).data
             assert got_w.dtype == np.float64 and (got_w == np.asarray(ref_w)).all()
-            ref_x = oracle_quant.ref_quantize_activations(list(x), k)
-            got_x = fq_activations(Tensor(x, requires_grad=True), k).data
-            assert got_x.dtype == np.float64 and (got_x == np.asarray(ref_x)).all()
+            ref_x = np.asarray(oracle_quant.ref_quantize_activations(list(x), k))
+            node = fq_activations(Tensor(x, requires_grad=True), k)
+            got_x, (index, _) = node.data, node._lattice
+            assert got_x.dtype == np.float64 and (got_x == ref_x).all()
+            assert index.dtype == np.uint8 and (index / (2 ** k - 1) == ref_x).all()
 
 
 class TestSte:
@@ -269,6 +276,16 @@ class TestFakeQuantNodes:
     def test_activation_one_bit_example(self):
         out = fq_activations(Tensor(np.array([0.2, 0.8])), 1)
         np.testing.assert_array_equal(out.data, [0.0, 1.0])
+
+    def test_index_only_under_a_graph(self):
+        # an eval forward, or one with nothing to differentiate, saves no index
+        x = np.array([-0.3, 0.2, 0.6, 1.4], dtype=np.float32)
+        assert fq_activations(Tensor(x), 2)._lattice is None
+        with no_grad():
+            assert fq_activations(Tensor(x, requires_grad=True), 2)._lattice is None
+        index, bits = fq_activations(Tensor(x, requires_grad=True), 2)._lattice
+        assert bits == 2 and index.dtype == np.uint8
+        np.testing.assert_array_equal(index, [0, 1, 2, 3])
 
     def test_double_application_idempotent(self):
         rng = np.random.default_rng(9)
