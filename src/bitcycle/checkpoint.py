@@ -3,18 +3,22 @@
 Layout (all integers little-endian):
 
     magic   b"BCQT"
-    u32     format version (currently 1)
+    u32     format version (currently 2)
     u16+s   config digest (hex, utf-8)
     i32     phase index of the phase this checkpoint was taken in
     i32     epochs completed within that phase
     table   model tensors
     table   optimizer state tensors
     u32+s   JSON metadata (canonical: sorted keys, no whitespace)
+    u32     zlib.crc32 of every byte before it
 
 where a table is:
 
     u32     entry count
     entry*  u16+s name, u8 dtype code, u8 ndim, u32*ndim dims, raw payload
+
+Version 1, the same without the CRC32, is still read. The CRC32 is compared
+after every parse check, so each parse error keeps its own message.
 
 Entries are written in sorted name order and the JSON is canonical, so
 saving a loaded checkpoint reproduces the original file byte for byte.
@@ -28,13 +32,14 @@ import json
 import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAGIC = b"BCQT"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<i8"): 2}
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
@@ -170,6 +175,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     ])
     with replace_atomically(path) as tmp, open(tmp, "wb") as f:
         f.write(blob)
+        f.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -179,7 +185,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{r.origin}: not a checkpoint file (bad magic)")
     version = r.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{r.origin}: unsupported checkpoint version {version}")
     digest = r.string()
     phase_index = r.i32()
@@ -191,11 +197,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         metadata = json.loads(r.take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{r.origin}: the metadata is not UTF-8 JSON ({e})") from None
+    crc = r.u32() if version == VERSION else None
     if r.pos != len(buf):
         raise CheckpointError(f"{r.origin}: trailing bytes start at offset {r.pos}")
     step = opt.pop("step_count", np.array(0))
     if step.size != 1:
         raise CheckpointError(f"{r.origin}: step_count holds {step.size} values, not 1")
+    if crc is not None and crc != zlib.crc32(memoryview(buf)[:-4]):
+        raise CheckpointError(f"{r.origin}: the bytes do not match the CRC32 {crc:08x}")
     return Checkpoint(
         config_digest=digest,
         phase_index=phase_index,

@@ -89,7 +89,7 @@ def _cmd_eval(args, values: dict) -> int:
     from .checkpoint import load_checkpoint
     from .data import Normalization
     from .metrics import MetricsRow, eval_appender
-    from .schedule import evaluate, load_split, model_from_checkpoint, pooled_weight_error
+    from .schedule import evaluate, load_split, model_from_checkpoint, plan_phases, pooled_weight_error
 
     append = eval_appender(args.out or os.path.dirname(os.path.abspath(args.checkpoint)))
     ck = load_checkpoint(args.checkpoint)
@@ -101,7 +101,7 @@ def _cmd_eval(args, values: dict) -> int:
     batch_size = cfg.eval_batch_size() if args.batch_size is None else args.batch_size
     top1, top5, loss = evaluate(model, test, batch_size, norm)
     print(f"checkpoint {args.checkpoint}")
-    print(f"phase {ck.phase_index} ({ck.metadata['part']}), "
+    print(f"phase {ck.phase_index} ({plan_phases(cfg)[ck.phase_index].part}), "
           f"bit depth {model.cfg.bit_depth}, after {ck.metadata['iteration']} iterations")
     print(f"top1={top1!r} top5={top5!r} loss={loss!r}")
 

@@ -225,8 +225,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     # NCHW as (h, w, n, c) and back: the transpose is its own inverse
     axes = (2, 3, 0, 1)
     last_shape = xd.transpose(axes).shape
-    wc = last_shape[2] * c
-    channel = np.arange(wc) % c  # the channel of each column of a wide row
+    batch = last_shape[2]
+    wc = batch * c
 
     def rows(a):
         # NCHW as (rows, c); a view unless a is not batch-inner
@@ -241,7 +241,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
 
     if training:
         mean = _channel_sums(x2) / n
-        d = wide(x2) - mean[channel]
+        d = wide(x2) - np.tile(mean, batch)
         np.square(d, out=d)
         var = _channel_sums(d.reshape(-1, c)) / n
         del d  # free it before the output is made
@@ -255,9 +255,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
     # tiled copies, so backward also sees the statistics this forward used
-    mean_w, inv_w, a_w = mean[channel], inv[channel], a[channel]
+    mean_w, inv_w, a_w = np.tile(mean, batch), np.tile(inv, batch), np.tile(a, batch)
     out = wide(x2) * a_w
-    out += (beta.data - mean * a)[channel]
+    out += np.tile(beta.data - mean * a, batch)
 
     def backward(g):
         g2 = rows(g)
@@ -268,9 +268,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         dgamma = _channel_sums(dx.reshape(-1, c))
         np.multiply(wide(g2), a_w, out=dx)
         if training:
-            xhat *= (a * dgamma / n)[channel]
+            xhat *= np.tile(a * dgamma / n, batch)
             dx -= xhat
-            dx -= (a * dbeta / n)[channel]
+            dx -= np.tile(a * dbeta / n, batch)
         return dx.reshape(last_shape).transpose(axes), dgamma, dbeta
 
     return _node(out.reshape(last_shape).transpose(axes), (x, gamma, beta), backward)

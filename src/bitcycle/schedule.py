@@ -205,27 +205,21 @@ def _write_checkpoint(path: str, cfg: RunConfig, model: QuantResNet, optimizer,
 
     At a phase end the phase's kept snapshot is saved first and checkpoint.bin
     becomes an atomic copy of it, so no kill leaves checkpoint.bin ahead of a
-    snapshot: whatever a kill leaves, checkpoint.bin is at worst older.
+    snapshot: whatever a kill leaves, checkpoint.bin is at worst older. Every
+    phase starts a fresh optimizer, so only a mid-phase save keeps its moments.
     """
-    meta = {
-        "part": phase.part,
-        "bit_depth": phase.bit_depth,
-        "iteration": iteration,
-        "normalization": norm.to_dict(),
-        "dataset": train_name,
-        "config": cfg.canonical_text(),
-        "threads": cfg["run.threads"],
-    }
+    mid_phase = epochs_done < phase.epochs
     ck = Checkpoint(
         config_digest=cfg.digest(),
         phase_index=phase.index,
         epochs_done=epochs_done,
         tensors={k: v.data for k, v in model.params.items()},
-        optimizer_state=dict(optimizer.state_tensors()),
+        optimizer_state=dict(optimizer.state_tensors()) if mid_phase else {},
         step_count=optimizer.step_count,
-        metadata=meta,
+        metadata={"iteration": iteration, "normalization": norm.to_dict(), "dataset": train_name,
+                  "config": cfg.canonical_text()},
     )
-    if epochs_done < phase.epochs:
+    if mid_phase:
         save_checkpoint(path, ck)
         return
     snapshot = os.path.join(os.path.dirname(path), f"checkpoint_phase{phase.index:03d}.bin")
@@ -252,7 +246,7 @@ def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[Q
     """Rebuild the exact network a checkpoint was taken from; each refusal names origin.
 
     Every reader checks a checkpoint here: its config text and digest, its cursor, its
-    tensors, and the metadata's bit depth, part, iteration and normalization."""
+    tensors, and the metadata's iteration and normalization."""
     try:
         cfg = RunConfig(typed_values(parse_config_text(ck.metadata["config"], "config"), "config"))
     except KeyError as e:
@@ -270,10 +264,6 @@ def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[Q
     if not 0 <= ck.epochs_done <= phase.epochs:
         raise CheckpointError(f"{origin}: {ck.epochs_done} epochs done is outside phase "
                               f"{phase.index}'s 0..{phase.epochs}")
-    for key, want in (("bit_depth", phase.bit_depth), ("part", phase.part)):
-        if ck.metadata.get(key) != want:
-            raise CheckpointError(f"{origin}: {key.replace('_', ' ')} {ck.metadata.get(key)!r} "
-                                  f"is not phase {phase.index}'s {want!r}")
     iteration = ck.metadata.get("iteration")
     if type(iteration) is not int or iteration < 0:
         raise CheckpointError(f"{origin}: iteration {iteration!r} is not a count of steps")

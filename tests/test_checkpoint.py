@@ -2,6 +2,7 @@ import os
 import re
 import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,9 +90,9 @@ def test_no_temp_file_left_behind(tmp_path):
 def test_overwrite_replaces_atomically(tmp_path):
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, _sample(seed=1))
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     save_checkpoint(path, _sample(seed=2))
-    second = open(path, "rb").read()
+    second = Path(path).read_bytes()
     assert first != second
     assert sorted(os.listdir(tmp_path)) == ["ck.bin"]
 
@@ -154,7 +155,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_unsupported_version_rejected(tmp_path):
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, _sample())
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4:8] = (99).to_bytes(4, "little")
     with open(path, "wb") as f:
         f.write(bytes(blob))
@@ -165,7 +166,7 @@ def test_unsupported_version_rejected(tmp_path):
 def test_truncation_reports_offset(tmp_path):
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, _sample())
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     with open(path, "wb") as f:
         f.write(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated at byte"):
@@ -219,7 +220,7 @@ def test_metadata_survives_nested(tmp_path):
 
 
 def _corrupt(path, at, value):
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[at] = value
     with open(path, "wb") as f:
         f.write(bytes(blob))
@@ -237,13 +238,13 @@ def test_a_string_that_is_not_utf8_names_the_file(tmp_path):
 def test_metadata_that_does_not_decode_names_the_file(tmp_path, byte):
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, _sample())
-    _corrupt(path, os.path.getsize(path) - 2, byte)  # the metadata's last value
+    _corrupt(path, os.path.getsize(path) - 6, byte)  # the metadata's last value
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: the metadata is not UTF-8 JSON")):
         load_checkpoint(path)
 
 
 def _splice(path, old, new):
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.count(old) == 1
     with open(path, "wb") as f:
         f.write(blob.replace(old, new))

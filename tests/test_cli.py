@@ -4,17 +4,20 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bitcycle
-from bitcycle.checkpoint import load_checkpoint, save_checkpoint
+from bitcycle.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitcycle.cli import _THREAD_VARS, main
-from bitcycle.config import file_values
+from bitcycle.config import RunConfig, file_values
 from bitcycle.metrics import read_metrics
+from bitcycle.schedule import run_schedule
 
 from test_data import write_cifar10_file
+from test_schedule import _InterruptAfter
 
 TINY = """
 model.stage_channels = 4, 8
@@ -106,8 +109,8 @@ def test_train_rerun_reproduces_metrics(tiny_cfg, tmp_path, capsys):
     out_b = str(tmp_path / "b")
     assert main(["train", "--config", tiny_cfg, "--out", out_a, "--quiet"]) == 0
     assert main(["train", "--config", tiny_cfg, "--out", out_b, "--quiet"]) == 0
-    a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
-    b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
+    a = Path(out_a, "metrics.csv").read_bytes()
+    b = Path(out_b, "metrics.csv").read_bytes()
     assert a == b
 
 
@@ -117,8 +120,8 @@ def test_seed_flag_changes_run(tiny_cfg, tmp_path, capsys):
     assert main(["train", "--config", tiny_cfg, "--out", out_a, "--quiet"]) == 0
     assert main(["train", "--config", tiny_cfg, "--out", out_b, "--quiet",
                  "--seed", "11"]) == 0
-    a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
-    b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
+    a = Path(out_a, "metrics.csv").read_bytes()
+    b = Path(out_b, "metrics.csv").read_bytes()
     assert a != b
 
 
@@ -371,7 +374,7 @@ def test_eval_refuses_a_foreign_eval_csv(tiny_cfg, tmp_path, capsys):
     assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and path in err
-    assert open(path).read() == "a,b,c\n1,2,3\n"
+    assert Path(path).read_text() == "a,b,c\n1,2,3\n"
 
 
 def test_eval_refuses_an_eval_csv_with_a_torn_last_line(tiny_cfg, tmp_path, capsys):
@@ -414,10 +417,9 @@ def _nudge_first_mean(meta):
     (lambda meta: meta["normalization"]["mean"].append(0.5),
      "no normalization for 3 channels (ValueError: mean and std hold 4 and 3 values)"),
     (_nudge_first_mean, "no normalization for 3 channels (ValueError: its values are not the float32 values"),
-    (lambda meta: meta.update(part="cyclic"), "part 'cyclic' is not phase 4's 'final'"),
     *[(lambda meta, v=v: meta.update(iteration=v), f"iteration {v!r} is not a count of steps")
       for v in (None, [1], "x", 3.7, -1, True)],
-], ids=["digest", "no-config", "no-normalization", "four-means", "mean-off-float32", "part",
+], ids=["digest", "no-config", "no-normalization", "four-means", "mean-off-float32",
         "iteration-null", "iteration-list", "iteration-str", "iteration-float",
         "iteration-negative", "iteration-bool"])
 def test_eval_refuses_checkpoint_metadata_that_does_not_fit(
@@ -437,13 +439,12 @@ def test_eval_refuses_checkpoint_metadata_that_does_not_fit(
 
 def test_eval_of_a_checkpoint_with_one_flipped_byte(tmp_path, capsys, smoke_checkpoint):
     # every 7th byte of the header and the first tensors, and every 13th from
-    # the metadata block (its length field included) on; payload flips that
-    # still parse evaluate, and the rest must be refused with an error line
-    # that names the file
+    # the metadata block (its length field included) to the CRC32 trailer; every
+    # flip must be refused with an error line that names the file
     (tmp_path / "good.bin").write_bytes(smoke_checkpoint)
     meta = json.dumps(load_checkpoint(str(tmp_path / "good.bin")).metadata,
                       sort_keys=True, separators=(",", ":")).encode()
-    start = len(smoke_checkpoint) - len(meta) - 4
+    start = len(smoke_checkpoint) - len(meta) - 4 - 4
     offsets = [*range(0, 400, 7), *range(start, len(smoke_checkpoint), 13)]
     path = str(tmp_path / "flipped.bin")
     out = str(tmp_path / "out")
@@ -464,4 +465,59 @@ def test_eval_of_a_checkpoint_with_one_flipped_byte(tmp_path, capsys, smoke_chec
             if path not in err:
                 unnamed.append((at, err))
     assert (crashed, unnamed) == ([], [])
-    assert len(offsets) == 147 and refused >= 116
+    assert len(offsets) == 144 and refused == len(offsets)
+
+
+@pytest.fixture(scope="module")
+def mid_phase_checkpoint(tmp_path_factory):
+    """The smoke run's checkpoint.bin after the first of the final phase's 2 epochs."""
+    out = tmp_path_factory.mktemp("cut") / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run_schedule(RunConfig.from_file(SMOKE_CFG, [f"run.out_dir={out}"]), log=_InterruptAfter(6))
+    return (out / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.parametrize("checkpoint", ["smoke_checkpoint", "mid_phase_checkpoint"])
+def test_every_single_byte_flip_is_refused_naming_the_file(tmp_path, request, checkpoint):
+    blob = request.getfixturevalue(checkpoint)
+    path = tmp_path / "ck.bin"
+    path.write_bytes(blob)
+    # a phase-end save has no optimizer table; the mid-phase one's is swept too
+    assert bool(load_checkpoint(str(path)).optimizer_state) == (checkpoint == "mid_phase_checkpoint")
+    accepted, unnamed = [], []
+    with open(path, "r+b") as f:
+        for at in range(len(blob)):
+            f.seek(at)
+            f.write(bytes([blob[at] ^ 0x01]))
+            f.flush()
+            try:
+                load_checkpoint(str(path))
+                accepted.append(at)
+            except CheckpointError as e:
+                if str(path) not in str(e):
+                    unnamed.append((at, str(e)))
+            f.seek(at)
+            f.write(blob[at:at + 1])
+    assert (accepted, unnamed) == ([], [])
+
+
+GOLDEN_V1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "smoke_checkpoint_v1.bin")
+
+
+def test_a_version_1_checkpoint_evaluates_and_saves_as_version_2(tmp_path, capsys):
+    # the smoke run's final checkpoint as format version 1 wrote it: no CRC32,
+    # and a full optimizer table and part, bit_depth and threads entries
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", GOLDEN_V1, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "phase 4 (final), bit depth 1, after 12 iterations\n" in out
+    assert "top1=0.25 top5=1.0 loss=1.5718623995780945\n" in out
+    v1 = load_checkpoint(GOLDEN_V1)
+    path = str(tmp_path / "v2.bin")
+    save_checkpoint(path, v1)
+    assert Path(path).read_bytes()[4:8] == (2).to_bytes(4, "little")
+    v2 = load_checkpoint(path)
+    assert v2.tensors.keys() == v1.tensors.keys()
+    for name, want in v1.tensors.items():
+        assert v2.tensors[name].dtype == want.dtype
+        np.testing.assert_array_equal(v2.tensors[name], want)

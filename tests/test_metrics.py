@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ def test_header_and_round_trip(tmp_path):
     with MetricsWriter(d) as w:
         w.append(_row(0, 1))
         w.append(_row(0, 2, train_loss=0.25))
-    lines = open(os.path.join(d, "metrics.csv")).read().splitlines()
+    lines = Path(d, "metrics.csv").read_text().splitlines()
     assert lines[0] == METRICS_HEADER
     assert len(lines) == 3
     rows = read_metrics(os.path.join(d, "metrics.csv"))
@@ -35,8 +36,8 @@ def test_wall_seconds_kept_out_of_metrics(tmp_path):
     d = str(tmp_path)
     with MetricsWriter(d) as w:
         w.append(_row(0, 1, wall_seconds=9.75))
-    metrics_text = open(os.path.join(d, "metrics.csv")).read()
-    timing_text = open(os.path.join(d, "timing.csv")).read()
+    metrics_text = Path(d, "metrics.csv").read_text()
+    timing_text = Path(d, "timing.csv").read_text()
     assert "wall" not in metrics_text
     assert "9.75" not in metrics_text
     assert timing_text.splitlines()[0] == "phase,epoch,wall_seconds"
@@ -87,7 +88,7 @@ def test_resume_truncates_past_cursor(tmp_path):
     keys = [(r.phase, r.epoch) for r in rows]
     assert keys == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
     assert rows[-1].train_loss == 0.111
-    timing = open(os.path.join(d, "timing.csv")).read().splitlines()
+    timing = Path(d, "timing.csv").read_text().splitlines()
     assert len(timing) == 1 + 6
     assert timing[1].startswith("0,1,")
 
