@@ -28,6 +28,7 @@ with os.replace, so a crash never leaves a truncated checkpoint behind.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -81,31 +82,49 @@ def _pack_table(table: dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
+_U16, _U32, _I32 = struct.Struct("<H"), struct.Struct("<I"), struct.Struct("<i")
+_CODE_NDIM = struct.Struct("<BB")
+
+
+@functools.cache
+def _dims(ndim: int) -> struct.Struct:
+    return struct.Struct(f"<{ndim}I")
+
+
 class _Reader:
+    """A cursor over the file's bytes, read through a memoryview: each field
+    is unpacked in place, and a tensor's payload is copied once."""
+
     def __init__(self, buf: bytes, origin: str):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
         self.origin = origin
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(
-                f"{self.origin}: truncated at byte {self.pos} (wanted {n} more)"
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    def skip(self, n: int) -> int:
+        """Move past the next n bytes; return the offset they start at."""
+        pos = self.pos
+        if pos + n > len(self.buf):
+            raise CheckpointError(f"{self.origin}: truncated at byte {pos} (wanted {n} more)")
+        self.pos = pos + n
+        return pos
+
+    def take(self, n: int) -> memoryview:
+        pos = self.skip(n)
+        return self.buf[pos:pos + n]
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack_from(self.buf, self.skip(fmt.size))
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def i32(self) -> int:
-        return struct.unpack("<i", self.take(4))[0]
+        return self.unpack(_I32)[0]
 
     def string(self) -> str:
-        (n,) = struct.unpack("<H", self.take(2))
+        raw = self.take(self.unpack(_U16)[0])
         try:
-            return self.take(n).decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{self.origin}: the string ending at byte {self.pos} "
                                   f"is not UTF-8 ({e})") from None
@@ -114,15 +133,15 @@ class _Reader:
         out: dict[str, np.ndarray] = {}
         for _ in range(self.u32()):
             name = self.string()
-            code, ndim = struct.unpack("<BB", self.take(2))
+            code, ndim = self.unpack(_CODE_NDIM)
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"{self.origin}: unknown dtype code {code} for {name!r}")
-            shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
+            shape = self.unpack(_dims(ndim))
             dt = _CODE_DTYPES[code]
             count = math.prod(shape)  # exact: no corrupt shape wraps around to a small count
-            raw = self.take(count * dt.itemsize)
+            pos = self.skip(count * dt.itemsize)
             try:
-                out[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+                out[name] = np.frombuffer(self.buf, dt, count, pos).reshape(shape).copy()
             except ValueError as e:  # a shape numpy cannot hold
                 raise CheckpointError(f"{self.origin}: {name!r} has a {ndim}-d shape "
                                       f"numpy cannot hold ({e})") from None
@@ -192,9 +211,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     epochs_done = r.i32()
     tensors = r.table()
     opt = r.table()
-    (meta_len,) = struct.unpack("<I", r.take(4))
+    meta_len = r.u32()
     try:
-        metadata = json.loads(r.take(meta_len).decode("utf-8"))
+        metadata = json.loads(str(r.take(meta_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{r.origin}: the metadata is not UTF-8 JSON ({e})") from None
     crc = r.u32() if version == VERSION else None

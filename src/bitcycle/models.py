@@ -196,17 +196,20 @@ class QuantResNet:
 
     def _block(self, x: Tensor, prefix: str, stride: int, has_down: bool, training: bool,
                k: int, quantize_input: bool) -> Tensor:
+        # each intermediate is dropped after its last reader, so no forward,
+        # eval or training, holds it while the rest of the block runs
         h_in = fq_activations(x, k) if quantize_input else x
         h = nn.conv2d(h_in, self._qw(f"{prefix}.conv1.weight", k), stride=stride, padding=1)
+        # type1 quantizes the downsample weight and reads the block's
+        # (quantized) input; type2 keeps both real
+        down_in = h_in if has_down and self.cfg.block_kind == "type1" else x
+        del h_in
         h = self._bn(h, f"{prefix}.bn1", training)
-        h = nn.conv2d(fq_activations(h, k), self._qw(f"{prefix}.conv2.weight", k),
-                      stride=1, padding=1)
+        h = fq_activations(h, k)
+        h = nn.conv2d(h, self._qw(f"{prefix}.conv2.weight", k), stride=1, padding=1)
         h = self._bn(h, f"{prefix}.bn2", training)
         if not has_down:
             return h + x
-        # type1 quantizes the downsample weight and reads the block's
-        # (quantized) input; type2 keeps both real
-        down_in = h_in if self.cfg.block_kind == "type1" else x
         sc = nn.conv2d(down_in, self._qw(f"{prefix}.down.conv.weight", k), stride=stride)
         return h + self._bn(sc, f"{prefix}.down.bn", training)
 

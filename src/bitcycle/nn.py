@@ -20,16 +20,21 @@ contiguous (taps, o, c) copy of the weight. The weight gradient is one
 stacked product per tap over the whole map, a GEMM per output row and piece,
 summed in ascending (row, piece) order. An input that needs no gradient,
 such as the image batch, gets none. Backward rebuilds the padded copy
-instead of keeping it alive, trading a little compute for a smaller peak
-footprint.
+where it is larger than the input, trading a little compute for a smaller
+peak footprint.
 
 Backward keeps the input array, unless the input is an activation
 quantizer's output recorded under a graph (``Tensor._lattice``). Then it
-keeps that output's lattice indices j instead, one byte an element for
-k <= 8 where float32 takes four, and the float output dies with the
-forward. The rebuilt grid casts j exactly, then divides by 2^k - 1 in the
-float dtype with the quantizer's own ``index_to_unit``, which is the
-forward's last step, so every value and gradient keeps its bits.
+keeps that output's code array instead, the one the quantizer's own
+backward reads, one byte an element for k <= 7 where float32 takes four,
+and the float output dies with the forward. The rebuilt grid casts the
+code's lattice indices j exactly, then divides by 2^k - 1 in the float
+dtype with the quantizer's own ``index_to_unit``, which is the forward's
+last step, so every value and gradient keeps its bits. Where the forward's
+grid is smaller than a float input, backward keeps that grid and drops the
+input: a 1x1 stride-2 conv, such as a type2 block's shortcut, reads only
+phase (0, 0), a quarter of it. A code array is kept even then, because the
+quantizer's closure holds it anyway.
 
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantize import index_to_unit
+from .quantize import code_index, index_to_unit
 from .tensor import Tensor, _as_tensor, _needs_graph, _node
 
 # Every conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
@@ -123,7 +128,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     band, pieces = _gemm_tiling(m, c, o)
     pm = m // pieces
     need_dx = _needs_graph(x)
-    # backward keeps a quantized input as its lattice indices (module docstring)
+    # backward keeps a quantized input as its code array (module docstring)
     saved, k = (xd, None) if x._lattice is None else x._lattice
     dtype = xd.dtype
 
@@ -140,13 +145,22 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         np.matmul(rows(grid, 0, q0, q1), wk[0], out=acc[q0:q1])
         for t in range(1, len(taps)):
             acc[q0:q1] += rows(grid, t, q0, q1) @ wk[t]
+    # backward keeps the grid where it is smaller than the float input
+    # (module docstring)
+    kept_grid = k is None and grid.size < xd.size
+    if kept_grid:
+        saved = grid
     del grid
     out = acc.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
 
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
-        grid = _padded_grid(saved, s, padding, hq, wq, na, nb, dtype)
-        if k is not None:
+        if kept_grid:
+            grid = saved
+        elif k is None:
+            grid = _padded_grid(saved, s, padding, hq, wq, na, nb, dtype)
+        else:
+            grid = _padded_grid(code_index(saved), s, padding, hq, wq, na, nb, dtype)
             index_to_unit(grid, k)  # the forward's own division, so every bit agrees
         # dw: one stacked product per tap, a GEMM per output row and piece,
         # summed in ascending (row, piece) order

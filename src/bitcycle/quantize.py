@@ -6,9 +6,12 @@ receiving gradient updates. Weight quantization normalizes through tanh into
 the binary case uses sign times the mean magnitude instead. Activations are
 clamped to [0, 1] and snapped onto the same kind of lattice: an index j
 in 0..2^k - 1 (``activation_index``), then j / (2^k - 1)
-(``index_to_unit``). Bit depth 32 means quantization is disabled:
-apply_quantizer and the fake-quant nodes are the identity there, and
-QuantSpec.identity is the one place that says so.
+(``index_to_unit``). Under a graph, an activation also gets a code array:
+j in the low bits of the smallest unsigned dtype with a bit to spare, and
+its straight-through window flag in that dtype's top bit (``code_index``
+and ``code_window`` read them). Bit depth 32 means quantization is
+disabled: apply_quantizer and the fake-quant nodes are the identity there,
+and QuantSpec.identity is the one place that says so.
 
 Rounding is half-away-from-zero everywhere, applied identically here and in
 any reference evaluation; numpy's round (banker's rounding) is deliberately
@@ -147,6 +150,39 @@ def ste_backward(upstream: np.ndarray, pre_quant: np.ndarray, lo: float, hi: flo
     return upstream * ste_mask(pre_quant, lo, hi)
 
 
+def _window_bit(dtype: np.dtype):
+    """The top bit of an activation code's dtype, which flags the STE window."""
+    return dtype.type(1 << (8 * dtype.itemsize - 1))
+
+
+def activation_code(x: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """Pack the k-bit lattice indices of x and its [0, 1] STE window into one
+    unsigned array: uint8 for k <= 7, uint16 for k <= 15, uint32 above. The
+    index takes the low bits and the window flag the top bit, which no index
+    reaches."""
+    dtype = np.min_scalar_type(2 ** (k + 1) - 1)
+    bit = _window_bit(dtype)
+    # NaN has no index: its cast is arbitrary and may set the top bit, so
+    # that bit is cleared before the mask sets it. The float output carries
+    # the NaN on, and the batch norm after a model's conv then makes every
+    # gradient reaching that conv NaN
+    with np.errstate(invalid="ignore"):
+        code = index.astype(dtype)
+    code &= bit - 1
+    code |= np.multiply(ste_mask(x, 0.0, 1.0), bit, dtype=dtype)
+    return code
+
+
+def code_index(code: np.ndarray) -> np.ndarray:
+    """The lattice indices an activation code packs, in the code's dtype."""
+    return code & (_window_bit(code.dtype) - 1)
+
+
+def code_window(code: np.ndarray) -> np.ndarray:
+    """The STE window mask an activation code packs: True where 0 <= x <= 1."""
+    return code >= _window_bit(code.dtype)
+
+
 def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
     """Forward apply_quantizer(t, spec); backward by the spec's kind.
 
@@ -155,36 +191,29 @@ def _fake_quant(t: Tensor, spec: QuantSpec) -> Tensor:
     [0, 1] for activations. Multi-bit weights differentiate the tanh
     normalization exactly, holding the max |tanh| scale fixed, and treat
     the rounding as a straight pass-through. The weight closures read the
-    live parameter; the activation closure saves only the window mask (one
-    byte an element, where the float input would take four or eight).
+    live parameter.
 
-    Only when a graph is recorded, the activation output also carries its
-    lattice indices j in the smallest unsigned dtype that holds them (one
-    byte for k <= 8) and k, as ``_lattice``. A conv's backward keeps those
-    instead of the float output and rebuilds j / (2^k - 1) with the
-    forward's own cast and division (``index_to_unit``), so no bit moves.
-    An eval forward makes neither the mask nor the indices.
+    Only when a graph is recorded, an activation node saves one code array
+    (``activation_code``: one byte an element for k <= 7, where the float
+    input would take four or eight), and the output carries it and k as
+    ``_lattice``. The node's backward reads the window bits; a conv's
+    backward keeps the same array in place of the float output and rebuilds
+    j / (2^k - 1) from the index bits with the forward's own cast and
+    division (``index_to_unit``), so no bit moves. An eval forward makes no
+    code.
     """
     if spec.identity:
         return t
     d = t.data
     if spec.kind == "activation":
-        graph = _needs_graph(t)
-        mask = ste_mask(d, 0.0, 1.0) if graph else None
         q = activation_index(d, spec.k)
-        lattice = None
-        if graph:
-            # NaN has no index (its cast is arbitrary); the float output
-            # carries the NaN on, and the batch norm after a model's conv
-            # then makes every gradient reaching that conv NaN
-            with np.errstate(invalid="ignore"):
-                lattice = (q.astype(np.min_scalar_type(2 ** spec.k - 1)), spec.k)
+        code = activation_code(d, q, spec.k) if _needs_graph(t) else None
 
         def backward(g):
-            return (g * mask,)
+            return (g * code_window(code),)
 
         out = _node(index_to_unit(q, spec.k), (t,), backward)
-        out._lattice = lattice
+        out._lattice = None if code is None else (code, spec.k)
         return out
     out = apply_quantizer(d, spec).astype(d.dtype, copy=False)
     if spec.kind == "weight_multi_bit":

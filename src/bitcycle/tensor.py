@@ -19,7 +19,10 @@ reads.
 parents and its closure (the arrays the closure saved) as soon as its
 parents hold their gradients, so a training step's activations are freed
 during the walk rather than when the caller drops the loss. A second
-``backward`` through a walked node raises.
+``backward`` through a walked node raises. A node's gradient is the array
+its consumer's backward returned, never a copy; an op's backward only
+reads the gradient it is given, and a node with two consumers adds their
+gradients into a new array. Only a leaf's gradient is a private copy.
 
 Freeing activations mid-walk and allocating them again in the next
 forward is what glibc's default malloc handles worst: its dynamic
@@ -108,8 +111,8 @@ class Tensor:
     graph entry; an op output recorded under a graph carries a ``_Node``
     that wires it to its parents through a backward closure. An activation
     quantizer's output recorded under a graph also carries ``_lattice``,
-    its lattice indices and bit depth, for a consumer's backward to keep
-    in place of ``data``.
+    its code array (lattice indices plus straight-through window bits) and
+    bit depth, for a consumer's backward to keep in place of ``data``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_graph", "_lattice")
@@ -250,8 +253,16 @@ def _walked(g):
 
 
 def _accumulate(entry: Tensor | _Node, g: np.ndarray) -> None:
-    if entry.grad is None:
-        # a copy: ops may hand one array to several parents, or a view
+    # ops may hand one array to several parents, or a view. A leaf's grad is
+    # the caller's to keep and add to, so it starts as a copy; a node's is
+    # only read, by its own backward, so it takes g as it is and adds a
+    # second contribution out of place, writing no array it was handed
+    if type(entry) is _Node:
+        if entry.grad is None:
+            entry.grad = np.asarray(g, dtype=entry.dtype)
+        else:
+            entry.grad = (entry.grad + g).astype(entry.dtype, copy=False)
+    elif entry.grad is None:
         entry.grad = np.array(g, dtype=entry.dtype)
     else:
         entry.grad += g

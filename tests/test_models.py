@@ -276,6 +276,72 @@ class TestGradientFlow:
                 if isinstance(o, (Tensor, _Node))]
         assert held == []
 
+    @staticmethod
+    def _graph_bytes_from_shapes(cfg, n, size):
+        """The bytes a cifar-stem training forward's closures hold, by layer.
+
+        Each conv keeps its weight as a (taps, c, o) copy and its input: a
+        float input whole, a quantized one as the quantizer's code array
+        (shared, counted with the quantizer), and a strided 1x1 conv on a
+        float input (type2's shortcut) only the phase it reads. Each BN
+        keeps its input (the conv output), three per-channel vectors tiled
+        n times and one untiled. The classifier keeps its pooled input and
+        the loss its log-probabilities. Assumes the first block has no
+        shortcut conv, as in every stage layout the models use.
+        """
+        f, code = 4, (1 if cfg.bit_depth <= 7 else 2)
+
+        def conv(c, o, kernel):
+            return kernel * kernel * c * o * f
+
+        def bn(c, hw):
+            return n * c * hw * hw * f + (3 * n + 1) * c * f
+
+        c_in, hw = cfg.stage_channels[0], size
+        total = conv(cfg.in_channels, c_in, 3) + bn(c_in, hw)
+        for s, (c, blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage)):
+            for b in range(blocks):
+                stride = 2 if s > 0 and b == 0 else 1
+                out_hw = hw // stride
+                # conv1 reads the stem's BN output, later blocks a code array
+                total += n * c_in * hw * hw * (f if s == b == 0 else code)
+                total += conv(c_in, c, 3) + bn(c, out_hw)
+                total += n * c * out_hw * out_hw * code + conv(c, c, 3) + bn(c, out_hw)
+                if stride != 1 or c_in != c:
+                    if cfg.block_kind == "type2":
+                        total += n * c_in * out_hw * out_hw * f
+                    total += conv(c_in, c, 1) + bn(c, out_hw)
+                c_in, hw = c, out_hw
+        return total + n * c_in * f + n * cfg.num_classes * f
+
+    @pytest.mark.parametrize("block_kind", ["type2", "type1"])
+    @pytest.mark.parametrize("bit_depth", [1, 2, 8])
+    def test_graph_holds_exactly_what_backward_reads(self, bit_depth, block_kind):
+        # a guard against the graph growing back: the arrays the closures
+        # own, each counted once by the array owning its memory (weights,
+        # batch and labels excluded), add up to the bytes the shapes imply
+        cfg = tiny_config(bit_depth=bit_depth, block_kind=block_kind)
+        model, x, labels, loss = self._training_loss(cfg)
+
+        def owner(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        held = {id(owner(a)) for a in (x.data, labels, *(p.data for p in model.params.values()))}
+        owners = {}
+        for node in self._topo_order(loss):
+            if isinstance(node, _Node):
+                for cell in node._backward.__closure__ or ():
+                    if isinstance(cell.cell_contents, np.ndarray):
+                        a = owner(cell.cell_contents)
+                        if id(a) not in held:
+                            owners[id(a)] = a
+        n, _, size, _ = x.shape
+        assert sum(a.nbytes for a in owners.values()) == self._graph_bytes_from_shapes(cfg, n, size)
+        # floats and one code dtype: no mask beside the codes
+        assert {a.dtype.name for a in owners.values()} == {"float32", "uint8" if bit_depth <= 7 else "uint16"}
+
     def test_residual_bn_outputs_die_before_backward(self, monkeypatch):
         # a BN output that feeds only a residual add is read by no backward,
         # so nothing keeps it, or the array its NCHW view is cut from
@@ -297,20 +363,80 @@ class TestGradientFlow:
         assert len(refs) == 6 and [r for r in refs if r() is not None] == []
         loss.backward()
 
-    def test_activation_quantizer_saves_only_a_bool_mask(self, monkeypatch):
-        clean = models.fq_activations
-        saved = []  # per call: the input's shape and the closure's cell contents
+    def test_activation_quantizer_and_its_conv_share_one_code_byte(self, monkeypatch):
+        # the fake-quant node saves one code array, a byte an element, and
+        # the conv it feeds keeps that same array: no mask, no second copy
+        from bitcycle import nn
 
-        def recording(x, k):
-            out = clean(x, k)
-            saved.append((x.shape, [c.cell_contents for c in out._backward.__closure__]))
+        clean_fq, clean_conv = models.fq_activations, nn.conv2d
+        quantized = []  # per fake-quant call: its output, and its closure's cells
+        shared = []     # per conv fed one: that closure's array and the conv's input-shaped arrays
+
+        def fq(x, k):
+            out = clean_fq(x, k)
+            cells = [c.cell_contents for c in out._backward.__closure__]
+            assert len(cells) == 1 and cells[0].dtype == np.uint8 and cells[0].shape == x.shape
+            quantized.append((out, cells[0]))
             return out
 
-        monkeypatch.setattr(models, "fq_activations", recording)
-        self._training_loss(tiny_config(bit_depth=1))[3].backward()
-        assert len(saved) == 3
-        for shape, cells in saved:
-            assert len(cells) == 1 and cells[0].dtype == np.bool_ and cells[0].shape == shape
+        def conv(x, weight, *args, **kw):
+            out = clean_conv(x, weight, *args, **kw)
+            for q, code in quantized:
+                if x is q:
+                    shared.append((code, [c.cell_contents for c in out._backward.__closure__
+                                          if isinstance(c.cell_contents, np.ndarray)
+                                          and c.cell_contents.shape == x.shape]))
+            return out
+
+        monkeypatch.setattr(models, "fq_activations", fq)
+        monkeypatch.setattr(nn, "conv2d", conv)
+        for bit_depth in (1, 7):
+            quantized.clear()
+            shared.clear()
+            self._training_loss(tiny_config(bit_depth=bit_depth))[3].backward()
+            assert len(shared) == 3
+            for code, arrays in shared:
+                assert len(arrays) == 1 and arrays[0] is code
+
+    @pytest.mark.parametrize("block_kind", ["type2", "type1"])
+    def test_interior_gradients_are_never_copied(self, block_kind):
+        # a node takes the array its consumer's backward returned; a node
+        # with two consumers adds them into a new array, and no returned
+        # array is written after it was handed up. Two nodes have two: the
+        # first block's input (conv1 and the residual add), and the second
+        # block's input (type2: its quantizer and the shortcut) or its
+        # quantized input (type1: conv1 and the shortcut)
+        model, _, _, loss = self._training_loss(tiny_config(bit_depth=1, block_kind=block_kind))
+        kept, order = self._grads_without_release(loss)
+        received = {}  # id of node: the gradient its backward was called with
+        handed = {}    # id of parent: (array, copy at hand-over) per contribution
+        nodes = [t for t in order if isinstance(t, _Node)]
+        for node in nodes:
+            # the walk lets go of a node's parents before calling its backward
+            def wrapped(g, node=node, fn=node._backward, parents=node._parents):
+                received[id(node)] = g
+                grads = fn(g)
+                for parent, pg in zip(parents, grads):
+                    if pg is not None and isinstance(parent, _Node):
+                        handed.setdefault(id(parent), []).append((pg, pg.copy()))
+                return grads
+            node._backward = wrapped
+        loss.backward()
+        interior = [t for t in nodes if t is not loss._graph]
+        assert {id(t) for t in interior} == set(received) - {id(loss._graph)} == set(handed)
+        sums = 0
+        for node in interior:
+            g, pieces = received[id(node)], handed[id(node)]
+            if len(pieces) == 1:
+                assert g is pieces[0][0]
+            else:
+                sums += 1
+                assert not any(np.shares_memory(g, a) for a, _ in pieces)
+            for a, before in pieces:
+                np.testing.assert_array_equal(a, before)
+        assert sums == 2
+        for name, p in model.trainable():
+            assert p.grad is not None and np.array_equal(p.grad, kept[id(p)]), name
 
     @pytest.mark.parametrize("block_kind", ["type2", "type1"])
     @pytest.mark.parametrize("bit_depth", [1, 2])

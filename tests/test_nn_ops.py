@@ -121,26 +121,56 @@ class TestConv2d:
             gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=pad), [x.copy(), w.copy()])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 8, 9])
     def test_lattice_index_input_keeps_every_gradient_bit(self, k, dtype):
-        # a conv fed a quantizer's output keeps its 1-byte lattice indices,
-        # not the floats, and rebuilds the floats in backward; dx and dw must
-        # equal those of the same floats fed as a plain Tensor
+        # a conv fed a quantizer's output keeps its code array (one byte up
+        # to k = 7, two above), not the floats, and rebuilds the floats in
+        # backward; dx and dw must equal those of the same floats fed as a
+        # plain Tensor
         rng = np.random.default_rng(21)
         q = fq_activations(Tensor(rng.uniform(-0.2, 1.2, (3, 4, 9, 8)).astype(dtype), requires_grad=True), k)
-        index = q._lattice[0]
-        assert index.dtype == np.uint8
+        code = q._lattice[0]
+        assert code.dtype == (np.uint8 if k <= 7 else np.uint16)
         for kernel, stride in itertools.product((1, 3), (1, 2)):
             w = Tensor(rng.standard_normal((5, 4, kernel, kernel)).astype(dtype), requires_grad=True)
             fed = conv2d(q, w, stride=stride, padding=kernel // 2)
             plain = conv2d(Tensor(q.data.copy(), requires_grad=True), w, stride=stride, padding=kernel // 2)
             cells = [c.cell_contents for c in fed._backward.__closure__]
-            assert any(c is index for c in cells) and not any(c is q.data for c in cells)
+            assert any(c is code for c in cells) and not any(c is q.data for c in cells)
             np.testing.assert_array_equal(fed.data, plain.data)
             g = rng.standard_normal(fed.shape).astype(dtype)
             for a, b in zip(fed._backward(g), plain._backward(g)):
                 assert a.dtype == b.dtype == dtype
                 np.testing.assert_array_equal(a, b, err_msg=f"kernel {kernel} stride {stride}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(8, 8), (9, 7)])
+    def test_strided_one_by_one_keeps_only_the_phase_it_reads(self, size, dtype):
+        # a 1x1 stride-2 conv on a float input, such as a type2 block's
+        # shortcut, reads only phase (0, 0) of it: backward keeps that grid,
+        # a quarter of the input's bytes for an even size, not the input.
+        # Output and gradients equal a stride-1 conv's on that phase alone
+        rng = np.random.default_rng(23)
+        h, w = size
+        x = Tensor(rng.standard_normal((4, 6, h, w)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal((8, 6, 1, 1)).astype(dtype), requires_grad=True)
+        phase = Tensor(np.ascontiguousarray(x.data[:, :, ::2, ::2]), requires_grad=True)
+        out, ref = conv2d(x, weight, stride=2), conv2d(phase, weight)
+        kept = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert not any(np.shares_memory(a, x.data) for a in kept)
+        assert sum(a.nbytes for a in kept) - weight.data.nbytes == phase.data.nbytes
+        if h % 2 == w % 2 == 0:
+            assert phase.data.nbytes * 4 == x.data.nbytes
+        np.testing.assert_array_equal(out.data, ref.data)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        dw = weight.grad
+        weight.grad = None
+        ref.backward(g)
+        np.testing.assert_array_equal(dw, weight.grad)
+        np.testing.assert_array_equal(x.grad[:, :, ::2, ::2], phase.grad)
+        x.grad[:, :, ::2, ::2] = 0
+        assert x.grad.dtype == dtype and not x.grad.any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_convs_sharing_one_lattice_index(self, dtype):

@@ -8,6 +8,8 @@ from bitcycle.quantize import (
     QuantSpec,
     activation_spec,
     apply_quantizer,
+    code_index,
+    code_window,
     fq_activations,
     fq_weights,
     normalize_weights,
@@ -196,17 +198,18 @@ class TestOracleAgreement:
         def around(v):
             return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
 
-        # the index a recording node saves for conv's backward, over the
-        # quantized depths and one past a byte
-        for k in (*range(1, 9), 12):
+        # the code a recording node saves for conv's backward, decoded as
+        # conv decodes it, over the quantized depths, both sides of the code
+        # byte (k = 7 and 9) and a depth well into two bytes
+        for k in (*range(1, 10), 12):
             levels = 2 ** k - 1
             mid = (np.arange(levels) + 0.5) / levels
             x = around(mid)
             ref = np.asarray(oracle_quant.ref_quantize_activations(list(x), k))
             assert (quantize_activations(x, k) == ref).all()
-            index, bits = fq_activations(Tensor(x, requires_grad=True), k)._lattice
-            assert bits == k and index.dtype == (np.uint8 if k <= 8 else np.uint16)
-            assert (index / levels == ref).all()
+            code, bits = fq_activations(Tensor(x, requires_grad=True), k)._lattice
+            assert bits == k and code.dtype == (np.uint8 if k <= 7 else np.uint16)
+            assert (code_index(code) / levels == ref).all() and code_window(code).all()
             if 2 <= k <= 8:
                 w = around(np.append(np.arctanh(2.0 * mid - 1.0), 20.0))
                 ref = oracle_quant.ref_quantize_weights_kbit(list(w), k)
@@ -217,16 +220,19 @@ class TestOracleAgreement:
         rng = np.random.default_rng(16)
         w = rng.standard_normal(500) * 1.7
         x = rng.uniform(-1.5, 2.5, 500)
-        for k in range(1, 9):
+        ref_inside = np.asarray(oracle_quant.ref_ste_mask(list(x), 0.0, 1.0), dtype=bool)
+        for k in range(1, 10):
             ref_w = (oracle_quant.ref_quantize_weights_binary(list(w)) if k == 1
                      else oracle_quant.ref_quantize_weights_kbit(list(w), k))
             got_w = fq_weights(Tensor(w, requires_grad=True), k).data
             assert got_w.dtype == np.float64 and (got_w == np.asarray(ref_w)).all()
             ref_x = np.asarray(oracle_quant.ref_quantize_activations(list(x), k))
             node = fq_activations(Tensor(x, requires_grad=True), k)
-            got_x, (index, _) = node.data, node._lattice
+            got_x, (code, _) = node.data, node._lattice
             assert got_x.dtype == np.float64 and (got_x == ref_x).all()
-            assert index.dtype == np.uint8 and (index / (2 ** k - 1) == ref_x).all()
+            assert code.dtype == (np.uint8 if k <= 7 else np.uint16)
+            assert (code_index(code) / (2 ** k - 1) == ref_x).all()
+            assert (code_window(code) == ref_inside).all()
 
 
 class TestSte:
@@ -278,14 +284,23 @@ class TestFakeQuantNodes:
         np.testing.assert_array_equal(out.data, [0.0, 1.0])
 
     def test_index_only_under_a_graph(self):
-        # an eval forward, or one with nothing to differentiate, saves no index
-        x = np.array([-0.3, 0.2, 0.6, 1.4], dtype=np.float32)
+        # an eval forward, or one with nothing to differentiate, saves no
+        # code; under a graph the window bit is the code's top bit, on both
+        # sides of the code byte and past two bytes
+        x = np.array([-0.3, 0.0, 0.2, 0.6, 1.0, 1.4], dtype=np.float32)
         assert fq_activations(Tensor(x), 2)._lattice is None
         with no_grad():
             assert fq_activations(Tensor(x, requires_grad=True), 2)._lattice is None
-        index, bits = fq_activations(Tensor(x, requires_grad=True), 2)._lattice
-        assert bits == 2 and index.dtype == np.uint8
-        np.testing.assert_array_equal(index, [0, 1, 2, 3])
+        for k, dtype, top in ((2, np.uint8, 0x80), (7, np.uint8, 0x80), (9, np.uint16, 0x8000),
+                              (16, np.uint32, 0x80000000)):
+            code, bits = fq_activations(Tensor(x, requires_grad=True), k)._lattice
+            levels = 2 ** k - 1
+            index = [0, 0, round(0.2 * levels), round(0.6 * levels), levels, levels]
+            assert bits == k and code.dtype == dtype
+            np.testing.assert_array_equal(code, np.array(index) + top * np.array([0, 1, 1, 1, 1, 0]))
+            assert code_index(code).dtype == dtype
+            np.testing.assert_array_equal(code_index(code), index)
+            np.testing.assert_array_equal(code_window(code), [False, True, True, True, True, False])
 
     def test_double_application_idempotent(self):
         rng = np.random.default_rng(9)
@@ -304,6 +319,17 @@ class TestFakeQuantNodes:
         x = Tensor(np.array([-0.1, 0.0, 0.4, 1.0, 1.1]), requires_grad=True)
         fq_activations(x, 2).backward(np.ones(5))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("k", [1, 7, 9, 16])
+    def test_nan_is_outside_the_window_at_every_code_width(self, k):
+        # a NaN's lattice index is arbitrary, but its window bit is clear;
+        # on x86, numpy's vectorized cast of NaN to uint32 sets the top bit,
+        # and an array of four takes that path where one of three does not
+        x = Tensor(np.array([np.nan, 0.5, np.nan, 1.5], dtype=np.float32), requires_grad=True)
+        out = fq_activations(x, k)
+        np.testing.assert_array_equal(code_window(out._lattice[0]), [False, True, False, False])
+        out.backward(np.ones(4, dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
     def test_multibit_weight_backward_is_smooth_chain(self):
         # round is a pass-through; what remains is d/dw of tanh(w)/max|tanh|
