@@ -196,22 +196,25 @@ class QuantResNet:
 
     def _block(self, x: Tensor, prefix: str, stride: int, has_down: bool, training: bool,
                k: int, quantize_input: bool) -> Tensor:
-        # each intermediate is dropped after its last reader, so no forward,
-        # eval or training, holds it while the rest of the block runs
-        h_in = fq_activations(x, k) if quantize_input else x
-        h = nn.conv2d(h_in, self._qw(f"{prefix}.conv1.weight", k), stride=stride, padding=1)
-        # type1 quantizes the downsample weight and reads the block's
-        # (quantized) input; type2 keeps both real
-        down_in = h_in if has_down and self.cfg.block_kind == "type1" else x
-        del h_in
-        h = self._bn(h, f"{prefix}.bn1", training)
-        h = fq_activations(h, k)
-        h = nn.conv2d(h, self._qw(f"{prefix}.conv2.weight", k), stride=1, padding=1)
+        # conv1 through conv2 is one expression: each activation reaches its
+        # one reader as a call temporary that no name here holds, so a conv
+        # frees its input once the padded grid is built, and bn1 its input
+        # when it returns (nn module docstring). Only type1's shortcut names
+        # its input, the quantized block input, as it reads it after conv1;
+        # type2 keeps the downsampling path real and reads x.
+        down_q = quantize_input and has_down and self.cfg.block_kind == "type1"
+        down_in = fq_activations(x, k) if down_q else x
+        h = nn.conv2d(
+            fq_activations(self._bn(
+                nn.conv2d(fq_activations(x, k) if quantize_input and not down_q else down_in,
+                          self._qw(f"{prefix}.conv1.weight", k), stride=stride, padding=1),
+                f"{prefix}.bn1", training), k),
+            self._qw(f"{prefix}.conv2.weight", k), stride=1, padding=1)
         h = self._bn(h, f"{prefix}.bn2", training)
         if not has_down:
             return h + x
-        sc = nn.conv2d(down_in, self._qw(f"{prefix}.down.conv.weight", k), stride=stride)
-        return h + self._bn(sc, f"{prefix}.down.bn", training)
+        return h + self._bn(nn.conv2d(down_in, self._qw(f"{prefix}.down.conv.weight", k), stride=stride),
+                            f"{prefix}.down.bn", training)
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator | None = None) -> QuantResNet:

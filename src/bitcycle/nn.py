@@ -36,6 +36,16 @@ input: a 1x1 stride-2 conv, such as a type2 block's shortcut, reads only
 phase (0, 0), a quarter of it. A code array is kept even then, because the
 quantizer's closure holds it anyway.
 
+Once its padded grid is built, a conv holds the input array only where
+backward keeps that same array: a float input under a graph (or a leaf,
+which is its own graph entry). It drops every other reference, the input
+Tensor included, so an input the caller hands over as a call temporary, as
+``QuantResNet._block`` does, is freed before the accumulator is allocated,
+and an eval forward never holds a conv's input beside its grid. That takes
+CPython 3.11 or later, whose calls move their arguments into the callee's
+frame. Under 3.10 the caller's stack holds the input until the call
+returns, so it lives through the GEMMs; no bit differs between the two.
+
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
 height. The weight gradient sums its ow*n rows piece by piece, so P moves
@@ -57,7 +67,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quantize import code_index, index_to_unit
-from .tensor import Tensor, _as_tensor, _needs_graph, _node
+from .tensor import Tensor, _Node, _as_tensor, _needs_graph, _node
 
 # Every conv GEMM call multiplies at most GEMM_ELEMS = rows*c*o elements, the
 # power of two under the M*N*K = 10**6 up to which SkylakeX OpenBLAS takes its
@@ -128,9 +138,11 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     band, pieces = _gemm_tiling(m, c, o)
     pm = m // pieces
     need_dx = _needs_graph(x)
+    # the graph's parents are taken now: x goes once its grid is built
+    parents = [x._graph or x, weight._graph or weight] if _needs_graph(x, weight) else None
     # backward keeps a quantized input as its code array (module docstring)
     saved, k = (xd, None) if x._lattice is None else x._lattice
-    dtype = xd.dtype
+    dtype, acc_dtype = xd.dtype, np.result_type(xd, wd)
 
     def rows(grid, t, q0, q1):
         # the rows tap t multiplies for output rows q0..q1-1, as (q1 - q0,
@@ -139,19 +151,22 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, pieces, pm, c)
 
     grid = _padded_grid(xd, s, padding, hq, wq, na, nb, dtype)
-    acc = np.empty((oh, pieces, pm, o), dtype=np.result_type(xd, wd))
+    # backward keeps the grid where it is smaller than the float input, and
+    # past the grid nothing else holds the input (module docstring)
+    kept_grid = k is None and grid.size < xd.size
+    if kept_grid:
+        saved = grid
+    if parents is None:
+        saved = None
+    del x, xd
+    acc = np.empty((oh, pieces, pm, o), dtype=acc_dtype)
     for q0 in range(0, oh, band):
         q1 = min(q0 + band, oh)
         np.matmul(rows(grid, 0, q0, q1), wk[0], out=acc[q0:q1])
         for t in range(1, len(taps)):
             acc[q0:q1] += rows(grid, t, q0, q1) @ wk[t]
-    # backward keeps the grid where it is smaller than the float input
-    # (module docstring)
-    kept_grid = k is None and grid.size < xd.size
-    if kept_grid:
-        saved = grid
     del grid
-    out = acc.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
+    out = Tensor(acc.reshape(oh, ow, n, o).transpose(2, 3, 0, 1))
 
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
@@ -188,7 +203,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         dx = dpad.reshape(hq * s, wq * s, n, c)[padding : padding + h, padding : padding + w]
         return dx.transpose(2, 3, 0, 1), dw
 
-    return _node(out, (x, weight), backward)
+    if parents is not None:
+        out._graph = _Node(parents, backward, out.data.dtype)
+    return out
 
 
 def linear(x, weight, bias) -> Tensor:

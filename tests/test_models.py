@@ -1,12 +1,15 @@
 """Model zoo: topology, quantization placement, weight hand-off."""
 
 import dataclasses
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import bitcycle.models as models
+from bitcycle import nn
 from bitcycle.models import ModelConfig, QuantResNet, build_model, desk_config, transfer_weights
 from bitcycle.tensor import Tensor, _Node, no_grad
 
@@ -341,6 +344,67 @@ class TestGradientFlow:
         assert sum(a.nbytes for a in owners.values()) == self._graph_bytes_from_shapes(cfg, n, size)
         # floats and one code dtype: no mask beside the codes
         assert {a.dtype.name for a in owners.values()} == {"float32", "uint8" if bit_depth <= 7 else "uint16"}
+
+    @staticmethod
+    def _eval_peak_from_shapes(cfg, n, size):
+        """The most a cifar-stem eval forward holds at once, beyond its batch.
+
+        A conv holds its padded grid, its output and one tap product, and an
+        input handed to it as a call temporary goes once the grid exists.
+        The block input stays to the end of its block, for the residual or
+        type2's shortcut; so does type1's quantized block input below 32
+        bits where a shortcut conv reads it again. The first block's conv1,
+        and every conv1 at 32 bits, reads the block input itself. Batch norm,
+        the quantizer, the shortcut and the residual add hold less than the
+        conv before them.
+        """
+        f, quantized = 4, cfg.bit_depth < 32
+
+        def conv(c, o, hw, stride):
+            # (grid, output, tap product) bytes of a 3x3 conv with padding 1
+            oh, hq = (hw - 1) // stride + 1, -(-(hw + 2) // stride)
+            band, _ = nn._gemm_tiling(oh * n, c, o)
+            return stride * stride * hq * hq * n * c * f, n * o * oh * oh * f, min(band, oh) * oh * n * o * f
+
+        c_in, hw = cfg.stage_channels[0], size
+        peaks = [sum(conv(cfg.in_channels, c_in, size, 1))]
+        for s, (c, blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage)):
+            for b in range(blocks):
+                stride = 2 if s > 0 and b == 0 else 1
+                x = n * c_in * hw * hw * f
+                keeps_q = quantized and cfg.block_kind == "type1" and (stride != 1 or c_in != c)
+                held = x + x * keeps_q
+                grid, out, tap = conv(c_in, c, hw, stride)
+                if s == b == 0 or not quantized or keeps_q:
+                    peaks.append(held + grid + out + tap)
+                else:
+                    peaks.append(held + max(x + grid, grid + out + tap))
+                grid, out2, tap = conv(c, c, hw // stride, 1)
+                peaks.append(held + max(out + grid, grid + out2 + tap))
+                c_in, hw = c, hw // stride
+        return max(peaks)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="only CPython 3.11+ moves a call's arguments "
+                        "into the callee's frame; before, the caller keeps each conv input to the end")
+    @pytest.mark.parametrize("block_kind", ["type2", "type1"])
+    @pytest.mark.parametrize("bit_depth", [1, 32])
+    def test_eval_forward_peak_is_what_the_shapes_imply(self, bit_depth, block_kind):
+        # a guard against an eval forward holding an activation past its
+        # last reader. The slack covers weights, batch norm's tiled vectors
+        # and Python objects, a few KiB against 256 KiB for one activation
+        cfg = tiny_config(bit_depth=bit_depth, block_kind=block_kind)
+        model = build_model(cfg, np.random.default_rng(3))
+        x = rand_images(64, 3, 16, seed=5)
+        with no_grad():
+            model.forward(x)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                model.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 0 <= peak - before - self._eval_peak_from_shapes(cfg, 64, 16) < 32 << 10
 
     def test_residual_bn_outputs_die_before_backward(self, monkeypatch):
         # a BN output that feeds only a residual add is read by no backward,

@@ -1,10 +1,12 @@
 """Network ops: convolution, batch norm, pooling, cross-entropy."""
 
+import contextlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,34 @@ class TestConv2d:
             out = conv2d(Tensor(rng.standard_normal((2, 3, 9, 8))), Tensor(rng.standard_normal((4, 3, k, k))),
                          stride=stride, padding=pad).data
             assert out.base is None or out.base.size == out.size
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="only CPython 3.11+ moves a call's arguments "
+                        "into the callee's frame; before, the caller keeps the input to the end of the call")
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_lets_go_of_a_temporary_input_once_its_grid_exists(self, graph):
+        # an input handed over as a call temporary is freed once the padded
+        # grid holds its copy, before the accumulator exists, whether no
+        # graph is recorded or backward keeps the quantizer's code array.
+        # The call then peaks at grid + output + one tap product + the
+        # (taps, c, o) weight copy, plus a few KiB of Python objects
+        n, c, o, hw = 64, 16, 16, 16
+        rng = np.random.default_rng(24)
+        tracemalloc.start()
+        try:
+            w = Tensor(rng.standard_normal((o, c, 3, 3)).astype(np.float32), requires_grad=graph)
+            x = Tensor(rng.uniform(-0.2, 1.2, (n, c, hw, hw)).astype(np.float32), requires_grad=graph)
+            with contextlib.nullcontext() if graph else no_grad():
+                inputs = [fq_activations(x, 1)]
+                assert (inputs[0]._lattice is not None) == graph
+                before = tracemalloc.get_traced_memory()[0] - inputs[0].data.nbytes
+                tracemalloc.reset_peak()
+                out = conv2d(inputs.pop(), w, padding=1)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band, _ = nn._gemm_tiling(hw * n, c, o)
+        grid, tap, weights = (hw + 2) ** 2 * n * c * 4, band * hw * n * o * 4, 9 * c * o * 4
+        assert 0 <= peak - before - (grid + out.data.nbytes + tap + weights) < 16 << 10
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
