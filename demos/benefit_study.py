@@ -6,7 +6,8 @@ from that checkpoint. Arm (c) runs the full cyclic schedule: soft transfer
 from 4 bits, three (2,1) cycles, a 2-bit tail, then the final 1-bit phase.
 All arms spend the same 8 epochs in their final 1-bit configuration and are
 scored on held-out top-1. The corpus is the built-in synthetic one, so the
-whole study is a couple of minutes on one core.
+whole study is a couple of minutes on one core. Every arm is
+configs/synthetic_benefit.cfg with a few keys overridden.
 
 Alongside the final scores, the study tracks the accuracy reached at the
 end of each 1-bit re-entry inside arm (c); on a healthy run that sequence
@@ -24,24 +25,14 @@ import numpy as np
 from bitcycle.config import RunConfig
 from bitcycle.schedule import run_schedule
 
-BASE = {
-    "model.stage_channels": (8, 16),
-    "model.blocks_per_stage": (1, 1),
-    "model.num_classes": 10,
-    "data.synth_classes": 10,
-    "data.synth_per_class": 64,
-    "data.synth_size": 16,
-    "data.batch_size": 64,
-    "optimizer.lr_base": 0.003,
-}
-FINAL_EPOCHS = 8
+CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "synthetic_benefit.cfg")
+FINAL_EPOCHS = RunConfig.from_file(CONFIG)["schedule.final_epochs"]
 SEEDS = (0, 1, 2)
 
 
-def train(out_dir, **extra):
-    values = dict(BASE, **extra)
-    values["run.out_dir"] = str(out_dir)
-    return run_schedule(RunConfig(values))
+def train(out_dir, *overrides):
+    """One arm: the study's config with key=value overrides on top."""
+    return run_schedule(RunConfig.from_file(CONFIG, [*overrides, f"run.out_dir={out_dir}"]))
 
 
 def one_bit_reentries(rows):
@@ -58,28 +49,19 @@ if __name__ == "__main__":
     reentries = []
     try:
         for seed in SEEDS:
+            single = ["schedule.mode=single", f"schedule.epochs={FINAL_EPOCHS}", f"run.seed={seed}"]
             print(f"seed {seed}: direct 1-bit...", flush=True)
-            rows = train(root / f"direct_{seed}", **{
-                "schedule.mode": "single", "schedule.bit_depth": 1,
-                "schedule.epochs": FINAL_EPOCHS, "run.seed": seed})
+            rows = train(root / f"direct_{seed}", *single, "schedule.bit_depth=1")
             finals["direct"].append(rows[-1].eval_top1)
 
             print(f"seed {seed}: real-weight warm start...", flush=True)
-            train(root / f"real_{seed}", **{
-                "schedule.mode": "single", "schedule.bit_depth": 32,
-                "schedule.epochs": FINAL_EPOCHS, "run.seed": seed})
-            rows = train(root / f"warm_{seed}", **{
-                "schedule.mode": "single", "schedule.bit_depth": 1,
-                "schedule.epochs": FINAL_EPOCHS, "run.seed": seed,
-                "schedule.initial_weights": str(root / f"real_{seed}" / "checkpoint.bin")})
+            train(root / f"real_{seed}", *single, "schedule.bit_depth=32")
+            rows = train(root / f"warm_{seed}", *single, "schedule.bit_depth=1",
+                         f"schedule.initial_weights={root / f'real_{seed}' / 'checkpoint.bin'}")
             finals["warm"].append(rows[-1].eval_top1)
 
             print(f"seed {seed}: cyclic schedule...", flush=True)
-            rows = train(root / f"ctmq_{seed}", **{
-                "schedule.mode": "ctmq", "schedule.target_k": 1,
-                "schedule.start_bits": 4, "schedule.cycles": 3,
-                "schedule.soft_epochs": 2, "schedule.cyclic_epochs": 3,
-                "schedule.final_epochs": FINAL_EPOCHS, "run.seed": seed})
+            rows = train(root / f"ctmq_{seed}", f"run.seed={seed}")
             finals["ctmq"].append(rows[-1].eval_top1)
             reentries.append(one_bit_reentries(rows))
 

@@ -19,32 +19,16 @@ and in tap order, the output-gradient pieces its taps read, times a
 contiguous (taps, o, c) copy of the weight. The weight gradient is one
 stacked product per tap over the whole map, a GEMM per output row and piece,
 summed in ascending (row, piece) order. An input that needs no gradient,
-such as the image batch, gets none. Backward rebuilds the padded copy
-where it is larger than the input, trading a little compute for a smaller
-peak footprint.
+such as the image batch, gets none.
 
-Backward keeps the input array, unless the input is an activation
-quantizer's output recorded under a graph (``Tensor._lattice``). Then it
-keeps that output's code array instead, the one the quantizer's own
-backward reads, one byte an element for k <= 7 where float32 takes four,
-and the float output dies with the forward. The rebuilt grid casts the
-code's lattice indices j exactly, then divides by 2^k - 1 in the float
-dtype with the quantizer's own ``index_to_unit``, which is the forward's
-last step, so every value and gradient keeps its bits. Where the forward's
-grid is smaller than a float input, backward keeps that grid and drops the
-input: a 1x1 stride-2 conv, such as a type2 block's shortcut, reads only
-phase (0, 0), a quarter of it. A code array is kept even then, because the
-quantizer's closure holds it anyway.
-
-Once its padded grid is built, a conv holds the input array only where
-backward keeps that same array: a float input under a graph (or a leaf,
-which is its own graph entry). It drops every other reference, the input
-Tensor included, so an input the caller hands over as a call temporary, as
-``QuantResNet._block`` does, is freed before the accumulator is allocated,
-and an eval forward never holds a conv's input beside its grid. That takes
-CPython 3.11 or later, whose calls move their arguments into the callee's
-frame. Under 3.10 the caller's stack holds the input until the call
-returns, so it lives through the GEMMs; no bit differs between the two.
+Backward keeps the padded grid the forward multiplied, or, for an
+activation quantizer's output recorded under a graph (``Tensor._lattice``),
+that output's code array, one byte an element for k <= 7, from which it
+rebuilds the grid with the quantizer's own ``index_to_unit``, bit for bit.
+Past the grid a conv holds no reference to its input, so an input handed
+over as a call temporary, as ``QuantResNet._block`` does, is freed before
+the accumulator exists; that takes CPython 3.11 or later, whose calls move
+their arguments into the callee's frame (no bit differs under 3.10).
 
 P keeps the output and the input gradient bit for bit under OpenBLAS's
 SkylakeX kernels, which give a GEMM row the same bits in a call of any
@@ -59,7 +43,8 @@ matrix-vector product with a ones vector, and forward and backward each
 fold into a per-channel scale and shift. Its elementwise passes run on the
 (h*w, n*c) view of the same memory against per-channel vectors tiled n
 times, so each inner loop covers a whole pixel of the batch rather than c
-elements. Its output keeps that memory order.
+elements. Its output keeps that memory order. Backward keeps its input and
+the untiled per-channel mean, inverse std and scale, and tiles them itself.
 """
 
 from __future__ import annotations
@@ -140,8 +125,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
     need_dx = _needs_graph(x)
     # the graph's parents are taken now: x goes once its grid is built
     parents = [x._graph or x, weight._graph or weight] if _needs_graph(x, weight) else None
-    # backward keeps a quantized input as its code array (module docstring)
-    saved, k = (xd, None) if x._lattice is None else x._lattice
+    code, k = x._lattice or (None, None)
     dtype, acc_dtype = xd.dtype, np.result_type(xd, wd)
 
     def rows(grid, t, q0, q1):
@@ -151,13 +135,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         return grid[a, b, q0 + di : q1 + di, dj : dj + ow].reshape(q1 - q0, pieces, pm, c)
 
     grid = _padded_grid(xd, s, padding, hq, wq, na, nb, dtype)
-    # backward keeps the grid where it is smaller than the float input, and
-    # past the grid nothing else holds the input (module docstring)
-    kept_grid = k is None and grid.size < xd.size
-    if kept_grid:
-        saved = grid
-    if parents is None:
-        saved = None
+    # backward keeps the grid, or a quantized input's code array; nothing
+    # holds the input past this line (module docstring)
+    saved = None if parents is None else grid if k is None else code
     del x, xd
     acc = np.empty((oh, pieces, pm, o), dtype=acc_dtype)
     for q0 in range(0, oh, band):
@@ -170,10 +150,8 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(2, 3, 0, 1)).reshape(oh, pieces, pm, o)
-        if kept_grid:
+        if k is None:
             grid = saved
-        elif k is None:
-            grid = _padded_grid(saved, s, padding, hq, wq, na, nb, dtype)
         else:
             grid = _padded_grid(code_index(saved), s, padding, hq, wq, na, nb, dtype)
             index_to_unit(grid, k)  # the forward's own division, so every bit agrees
@@ -282,22 +260,21 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         rv *= 1.0 - momentum
         rv += momentum * var * (n / max(n - 1, 1))
     else:
-        mean, var = running_mean.data, running_var.data
+        # a copy, so backward sees the statistics this forward used
+        mean, var = running_mean.data.copy(), running_var.data
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
-    # tiled copies, so backward also sees the statistics this forward used
-    mean_w, inv_w, a_w = np.tile(mean, batch), np.tile(inv, batch), np.tile(a, batch)
-    out = wide(x2) * a_w
+    out = wide(x2) * np.tile(a, batch)
     out += np.tile(beta.data - mean * a, batch)
 
     def backward(g):
         g2 = rows(g)
-        xhat = wide(rows(xd)) - mean_w
-        xhat *= inv_w
+        xhat = wide(rows(xd)) - np.tile(mean, batch)
+        xhat *= np.tile(inv, batch)
         dbeta = _channel_sums(g2)
         dx = wide(g2) * xhat
         dgamma = _channel_sums(dx.reshape(-1, c))
-        np.multiply(wide(g2), a_w, out=dx)
+        np.multiply(wide(g2), np.tile(a, batch), out=dx)
         if training:
             xhat *= np.tile(a * dgamma / n, batch)
             dx -= xhat

@@ -11,12 +11,16 @@ one quantization depth. For a target depth k the plan has three parts:
 
 Every phase gets a fresh optimizer and its own learning-rate decay; the
 weights are the only state that crosses a phase boundary. Checkpoints go
-out at the end of every phase (plus periodically inside the final phase)
-and carry enough state to resume mid-run with byte-identical metrics.
+out at the end of every phase, plus every run.checkpoint_every epochs
+inside the final phase or a single-mode run's one phase, and carry enough
+state to resume mid-run with byte-identical metrics. A run holds a lock
+file in its directory, so a second writer there is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import shutil
 import time
@@ -280,6 +284,28 @@ def model_from_checkpoint(ck: Checkpoint, origin: str = "checkpoint") -> tuple[Q
     return _model_at(cfg, phase.bit_depth, ck.tensors, origin), cfg
 
 
+@contextlib.contextmanager
+def _sole_writer(out_dir: str):
+    """Hold out_dir/run.lock, with this process's pid in it, for the block.
+
+    A second writer is refused, naming the holder's pid. The kernel drops the
+    lock when its holder exits or dies, so a killed run resumes as before."""
+    os.makedirs(out_dir, exist_ok=True)
+    fd = os.open(os.path.join(out_dir, "run.lock"), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 32).decode(errors="replace").strip() or "unknown"
+            raise CheckpointError(f"{out_dir} is in use by another run (pid {holder}); wait for it "
+                                  "to finish or train into a new directory") from None
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        yield
+    finally:
+        os.close(fd)
+
+
 def _non_finite(what: str, phase: Phase, epoch: int, iteration: int) -> NonFiniteLossError:
     # raised before the step's metrics row or checkpoint: the run directory never sees it
     return NonFiniteLossError(
@@ -297,6 +323,7 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     checkpoint and the csv files keep their first K rows, K being the
     epochs it covers, so an interrupted run and an uninterrupted one end
     with identical metrics bytes. Without it, a checkpoint there is refused.
+    A run directory has one writer at a time (``_sole_writer``).
 
     on_phase_start, when given, is called as on_phase_start(phase, model)
     after the hand-off and before the phase's first batch; it sees the
@@ -319,106 +346,107 @@ def run_schedule(cfg: RunConfig, resume: bool = False, log=None,
     per_epoch = len(train.labels) // batch_size
 
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
-    if not resume and os.path.exists(ckpt_path):
-        raise CheckpointError(f"{out_dir} already holds a run: continue it with --resume "
-                              "or train into a new directory")
+    with _sole_writer(out_dir):
+        if not resume and os.path.exists(ckpt_path):
+            raise CheckpointError(f"{out_dir} already holds a run: continue it with --resume "
+                                  "or train into a new directory")
 
-    # done counts the epochs the run directory holds: the global index of the next epoch
-    done = 0
-    if resume:
-        if not os.path.exists(ckpt_path):
-            raise CheckpointError(f"cannot resume: {ckpt_path} does not exist")
-        loaded = load_checkpoint(ckpt_path)
-        if loaded.config_digest != cfg.digest():
-            raise CheckpointError(
-                f"cannot resume: {ckpt_path} was produced by a different config "
-                f"(digest {loaded.config_digest[:12]}, expected {cfg.digest()[:12]})"
-            )
-        model, _ = model_from_checkpoint(loaded, ckpt_path)
-        at = phases[loaded.phase_index]
-        done = epochs.index((at, 0)) + loaded.epochs_done
-        if not (loaded.epochs_done >= 1
-                and loaded.metadata["iteration"] == done * per_epoch
-                and loaded.step_count == loaded.epochs_done * per_epoch):
-            raise CheckpointError(
-                f"cannot resume: {ckpt_path} holds epoch {loaded.epochs_done}, iteration "
-                f"{loaded.metadata['iteration']} and optimizer step {loaded.step_count} "
-                f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
-        # the data root is not in the config digest, so the corpus can change under a run
-        for key, now in (("normalization", norm.to_dict()), ("dataset", train.name)):
-            if loaded.metadata.get(key) != now:
+        # done counts the epochs the run directory holds: the global index of the next epoch
+        done = 0
+        if resume:
+            if not os.path.exists(ckpt_path):
+                raise CheckpointError(f"cannot resume: {ckpt_path} does not exist")
+            loaded = load_checkpoint(ckpt_path)
+            if loaded.config_digest != cfg.digest():
                 raise CheckpointError(
-                    f"cannot resume: {ckpt_path} was trained on a split with {key} "
-                    f"{loaded.metadata.get(key)!r}, but the training split now has {now!r}")
-        if loaded.epochs_done < at.epochs:
-            # resuming mid-phase: the phase's optimizer carries on where it stopped
-            optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
-            _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
-                          f"{ckpt_path} optimizer state")
-            optimizer.step_count = loaded.step_count
-    elif cfg["schedule.initial_weights"]:
-        warm_path = cfg["schedule.initial_weights"]
-        origin = f"schedule.initial_weights {warm_path}"
-        teacher, _ = model_from_checkpoint(load_checkpoint(warm_path), origin)
-        model = _model_at(cfg, phases[0].bit_depth, teacher.params, origin)
-    else:
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
-        model = build_model(cfg.model_config(phases[0].bit_depth), rng=init_rng)
-
-    checkpoint_every = cfg["run.checkpoint_every"]
-
-    with MetricsWriter(out_dir, done if resume else None) as writer:
-        with open(os.path.join(out_dir, "config.txt"), "w") as f:
-            f.write(cfg.canonical_text())
-        rows = read_metrics(writer.metrics_path) if resume else []
-        for g in range(done, len(epochs)):
-            phase, epoch = epochs[g]
-            if epoch == 0:
-                if model.cfg.bit_depth != phase.bit_depth:
-                    model = _model_at(cfg, phase.bit_depth, model.params, "the hand-off")
-                if on_phase_start is not None:
-                    on_phase_start(phase, model)
+                    f"cannot resume: {ckpt_path} was produced by a different config "
+                    f"(digest {loaded.config_digest[:12]}, expected {cfg.digest()[:12]})"
+                )
+            model, _ = model_from_checkpoint(loaded, ckpt_path)
+            at = phases[loaded.phase_index]
+            done = epochs.index((at, 0)) + loaded.epochs_done
+            if not (loaded.epochs_done >= 1
+                    and loaded.metadata["iteration"] == done * per_epoch
+                    and loaded.step_count == loaded.epochs_done * per_epoch):
+                raise CheckpointError(
+                    f"cannot resume: {ckpt_path} holds epoch {loaded.epochs_done}, iteration "
+                    f"{loaded.metadata['iteration']} and optimizer step {loaded.step_count} "
+                    f"of phase {at.index}, which has {at.epochs} epochs of {per_epoch} iterations")
+            # the data root is not in the config digest, so the corpus can change under a run
+            for key, now in (("normalization", norm.to_dict()), ("dataset", train.name)):
+                if loaded.metadata.get(key) != now:
+                    raise CheckpointError(
+                        f"cannot resume: {ckpt_path} was trained on a split with {key} "
+                        f"{loaded.metadata.get(key)!r}, but the training split now has {now!r}")
+            if loaded.epochs_done < at.epochs:
+                # resuming mid-phase: the phase's optimizer carries on where it stopped
                 optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
+                _load_tensors(loaded.optimizer_state, optimizer.state_tensors(),
+                              f"{ckpt_path} optimizer state")
+                optimizer.step_count = loaded.step_count
+        elif cfg["schedule.initial_weights"]:
+            warm_path = cfg["schedule.initial_weights"]
+            origin = f"schedule.initial_weights {warm_path}"
+            teacher, _ = model_from_checkpoint(load_checkpoint(warm_path), origin)
+            model = _model_at(cfg, phases[0].bit_depth, teacher.params, origin)
+        else:
+            init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_TAG]))
+            model = build_model(cfg.model_config(phases[0].bit_depth), rng=init_rng)
 
-            t0 = time.monotonic()
-            lr = lr_at(cfg["optimizer.lr_policy"], epoch, phase.epochs, cfg["optimizer.lr_base"])
-            loss_sum = 0.0
-            for i, (xb, yb) in enumerate(D.batches(train, batch_size, seed, g,
-                                                   policy=policy, norm=norm)):
-                iteration = g * per_epoch + i
-                logits = model.forward(xb, training=True)
-                loss = softmax_cross_entropy(logits, yb)
-                if not np.isfinite(loss.data):
-                    raise _non_finite(f"training loss {loss.item()}", phase, epoch, iteration)
-                model.zero_grad()
-                loss.backward()
-                for name, p in model.trainable():
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
-                optimizer.step(lr)
-                for name, p in model.trainable():
-                    if not np.isfinite(p.data).all():
-                        raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
-                loss_sum += loss.item()
-            top1, top5, _ = evaluate(model, test, cfg.eval_batch_size(), norm)
-            row = MetricsRow(
-                phase=phase.index, part=phase.part, bit_depth=phase.bit_depth,
-                epoch=epoch + 1, iteration=(g + 1) * per_epoch, lr=lr,
-                train_loss=loss_sum / per_epoch,
-                eval_top1=top1, eval_top5=top5,
-                mean_abs_quant_error=pooled_weight_error(model),
-                wall_seconds=time.monotonic() - t0,
-            )
-            writer.append(row)
-            rows.append(row)
-            if log:
-                log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
-                    f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
-                    f"loss={row.train_loss:.4f} top1={top1:.4f}")
-            periodic = (phase.part in ("final", "single")
-                        and (epoch + 1) % checkpoint_every == 0)
-            if epoch + 1 == phase.epochs or periodic:
-                writer.sync()
-                _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
-                                  epoch + 1, row.iteration, norm, train.name)
-    return rows
+        checkpoint_every = cfg["run.checkpoint_every"]
+
+        with MetricsWriter(out_dir, done if resume else None) as writer:
+            with open(os.path.join(out_dir, "config.txt"), "w") as f:
+                f.write(cfg.canonical_text())
+            rows = read_metrics(writer.metrics_path) if resume else []
+            for g in range(done, len(epochs)):
+                phase, epoch = epochs[g]
+                if epoch == 0:
+                    if model.cfg.bit_depth != phase.bit_depth:
+                        model = _model_at(cfg, phase.bit_depth, model.params, "the hand-off")
+                    if on_phase_start is not None:
+                        on_phase_start(phase, model)
+                    optimizer = make_optimizer(model.trainable(), cfg.optimizer_config())
+
+                t0 = time.monotonic()
+                lr = lr_at(cfg["optimizer.lr_policy"], epoch, phase.epochs, cfg["optimizer.lr_base"])
+                loss_sum = 0.0
+                for i, (xb, yb) in enumerate(D.batches(train, batch_size, seed, g,
+                                                       policy=policy, norm=norm)):
+                    iteration = g * per_epoch + i
+                    logits = model.forward(xb, training=True)
+                    loss = softmax_cross_entropy(logits, yb)
+                    if not np.isfinite(loss.data):
+                        raise _non_finite(f"training loss {loss.item()}", phase, epoch, iteration)
+                    model.zero_grad()
+                    loss.backward()
+                    for name, p in model.trainable():
+                        if p.grad is not None and not np.isfinite(p.grad).all():
+                            raise _non_finite(f"gradient for {name}", phase, epoch, iteration)
+                    optimizer.step(lr)
+                    for name, p in model.trainable():
+                        if not np.isfinite(p.data).all():
+                            raise _non_finite(f"weight {name} after the update", phase, epoch, iteration)
+                    loss_sum += loss.item()
+                top1, top5, _ = evaluate(model, test, cfg.eval_batch_size(), norm)
+                row = MetricsRow(
+                    phase=phase.index, part=phase.part, bit_depth=phase.bit_depth,
+                    epoch=epoch + 1, iteration=(g + 1) * per_epoch, lr=lr,
+                    train_loss=loss_sum / per_epoch,
+                    eval_top1=top1, eval_top5=top5,
+                    mean_abs_quant_error=pooled_weight_error(model),
+                    wall_seconds=time.monotonic() - t0,
+                )
+                writer.append(row)
+                rows.append(row)
+                if log:
+                    log(f"phase {phase.index:>2} {phase.part:<13} k={phase.bit_depth:<2} "
+                        f"epoch {epoch + 1:>3}/{phase.epochs} lr={lr:.5f} "
+                        f"loss={row.train_loss:.4f} top1={top1:.4f}")
+                periodic = (phase.part in ("final", "single")
+                            and (epoch + 1) % checkpoint_every == 0)
+                if epoch + 1 == phase.epochs or periodic:
+                    writer.sync()
+                    _write_checkpoint(ckpt_path, cfg, model, optimizer, phase,
+                                      epoch + 1, row.iteration, norm, train.name)
+        return rows

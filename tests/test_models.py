@@ -281,15 +281,14 @@ class TestGradientFlow:
 
     @staticmethod
     def _graph_bytes_from_shapes(cfg, n, size):
-        """The bytes a cifar-stem training forward's closures hold, by layer.
+        """The bytes a training forward's closures hold, by layer.
 
-        Each conv keeps its weight as a (taps, c, o) copy and its input: a
-        float input whole, a quantized one as the quantizer's code array
-        (shared, counted with the quantizer), and a strided 1x1 conv on a
-        float input (type2's shortcut) only the phase it reads. Each BN
-        keeps its input (the conv output), three per-channel vectors tiled
-        n times and one untiled. The classifier keeps its pooled input and
-        the loss its log-probabilities. Assumes the first block has no
+        A conv keeps its weight as a (taps, c, o) copy and either the padded
+        grid it multiplied, the stride phases its taps read, or a quantized
+        input's code array, which the quantizer shares (counted once). Batch
+        norm keeps its input and three untiled per-channel vectors. Max
+        pooling keeps its argmax index. The classifier keeps its pooled input
+        and the loss its log-probabilities. Assumes the first block has no
         shortcut conv, as in every stage layout the models use.
         """
         f, code = 4, (1 if cfg.bit_depth <= 7 else 2)
@@ -297,33 +296,46 @@ class TestGradientFlow:
         def conv(c, o, kernel):
             return kernel * kernel * c * o * f
 
-        def bn(c, hw):
-            return n * c * hw * hw * f + (3 * n + 1) * c * f
+        def grid(c, hw, kernel, stride, padding):
+            phases, hq = min(stride, kernel), -(-(hw + 2 * padding) // stride)
+            return phases * phases * hq * hq * n * c * f
 
-        c_in, hw = cfg.stage_channels[0], size
-        total = conv(cfg.in_channels, c_in, 3) + bn(c_in, hw)
+        def bn(c, hw):
+            return n * c * hw * hw * f + 3 * c * f
+
+        c_in = cfg.stage_channels[0]
+        if cfg.stem == "cifar":
+            hw = size
+            total = grid(cfg.in_channels, size, 3, 1, 1) + conv(cfg.in_channels, c_in, 3) + bn(c_in, hw)
+        else:
+            hw = (size - 1) // 2 + 1
+            total = grid(cfg.in_channels, size, 7, 2, 3) + conv(cfg.in_channels, c_in, 7) + bn(c_in, hw)
+            hw = (hw - 1) // 2 + 1
+            total += n * c_in * hw * hw * np.dtype(np.intp).itemsize
         for s, (c, blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage)):
             for b in range(blocks):
                 stride = 2 if s > 0 and b == 0 else 1
                 out_hw = hw // stride
-                # conv1 reads the stem's BN output, later blocks a code array
-                total += n * c_in * hw * hw * (f if s == b == 0 else code)
+                # the first block's conv1 reads the stem's float output, later ones a code array
+                total += grid(c_in, hw, 3, 1, 1) if s == b == 0 else n * c_in * hw * hw * code
                 total += conv(c_in, c, 3) + bn(c, out_hw)
                 total += n * c * out_hw * out_hw * code + conv(c, c, 3) + bn(c, out_hw)
                 if stride != 1 or c_in != c:
                     if cfg.block_kind == "type2":
-                        total += n * c_in * out_hw * out_hw * f
+                        total += grid(c_in, hw, 1, stride, 0)
                     total += conv(c_in, c, 1) + bn(c, out_hw)
                 c_in, hw = c, out_hw
         return total + n * c_in * f + n * cfg.num_classes * f
 
-    @pytest.mark.parametrize("block_kind", ["type2", "type1"])
+    @pytest.mark.parametrize("block_kind,stem", [("type2", "cifar"), ("type1", "cifar"),
+                                                 ("type2", "imagenet"), ("type1", "imagenet")],
+                             ids=["type2", "type1", "imagenet-type2", "imagenet-type1"])
     @pytest.mark.parametrize("bit_depth", [1, 2, 8])
-    def test_graph_holds_exactly_what_backward_reads(self, bit_depth, block_kind):
+    def test_graph_holds_exactly_what_backward_reads(self, bit_depth, block_kind, stem):
         # a guard against the graph growing back: the arrays the closures
         # own, each counted once by the array owning its memory (weights,
         # batch and labels excluded), add up to the bytes the shapes imply
-        cfg = tiny_config(bit_depth=bit_depth, block_kind=block_kind)
+        cfg = dataclasses.replace(tiny_config(bit_depth=bit_depth, block_kind=block_kind), stem=stem)
         model, x, labels, loss = self._training_loss(cfg)
 
         def owner(a):
@@ -342,8 +354,11 @@ class TestGradientFlow:
                             owners[id(a)] = a
         n, _, size, _ = x.shape
         assert sum(a.nbytes for a in owners.values()) == self._graph_bytes_from_shapes(cfg, n, size)
-        # floats and one code dtype: no mask beside the codes
-        assert {a.dtype.name for a in owners.values()} == {"float32", "uint8" if bit_depth <= 7 else "uint16"}
+        # floats, one code dtype and max pooling's index: no mask beside the codes
+        dtypes = {"float32", "uint8" if bit_depth <= 7 else "uint16"}
+        if stem == "imagenet":
+            dtypes.add(np.dtype(np.intp).name)
+        assert {a.dtype.name for a in owners.values()} == dtypes
 
     @staticmethod
     def _eval_peak_from_shapes(cfg, n, size):

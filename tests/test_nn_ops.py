@@ -117,13 +117,15 @@ class TestConv2d:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="only CPython 3.11+ moves a call's arguments "
                         "into the callee's frame; before, the caller keeps the input to the end of the call")
-    @pytest.mark.parametrize("graph", [False, True])
-    def test_lets_go_of_a_temporary_input_once_its_grid_exists(self, graph):
+    @pytest.mark.parametrize("graph,quantized", [(False, True), (True, True), (True, False)],
+                             ids=["False", "True", "True-float"])
+    def test_lets_go_of_a_temporary_input_once_its_grid_exists(self, graph, quantized):
         # an input handed over as a call temporary is freed once the padded
         # grid holds its copy, before the accumulator exists, whether no
-        # graph is recorded or backward keeps the quantizer's code array.
-        # The call then peaks at grid + output + one tap product + the
-        # (taps, c, o) weight copy, plus a few KiB of Python objects
+        # graph is recorded or backward keeps the quantizer's code array or
+        # the grid itself. The call then peaks at grid + output + one tap
+        # product + the (taps, c, o) weight copy, plus a few KiB of Python
+        # objects
         n, c, o, hw = 64, 16, 16, 16
         rng = np.random.default_rng(24)
         tracemalloc.start()
@@ -131,8 +133,8 @@ class TestConv2d:
             w = Tensor(rng.standard_normal((o, c, 3, 3)).astype(np.float32), requires_grad=graph)
             x = Tensor(rng.uniform(-0.2, 1.2, (n, c, hw, hw)).astype(np.float32), requires_grad=graph)
             with contextlib.nullcontext() if graph else no_grad():
-                inputs = [fq_activations(x, 1)]
-                assert (inputs[0]._lattice is not None) == graph
+                inputs = [fq_activations(x, 1) if quantized else -x]
+                assert (inputs[0]._lattice is not None) == (graph and quantized)
                 before = tracemalloc.get_traced_memory()[0] - inputs[0].data.nbytes
                 tracemalloc.reset_peak()
                 out = conv2d(inputs.pop(), w, padding=1)

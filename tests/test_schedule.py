@@ -1,5 +1,7 @@
+import contextlib
 import os
 import re
+import select
 import shutil
 import signal
 from pathlib import Path
@@ -7,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitcycle import data, optim
+from bitcycle import data, optim, schedule
 from bitcycle.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitcycle.config import ConfigError, RunConfig
 from bitcycle.data import Normalization, make_synthetic
 from bitcycle.metrics import MetricsWriter, read_metrics
-from bitcycle.models import build_model, desk_config
+from bitcycle.models import ModelConfig, build_model, desk_config
 from bitcycle.schedule import (
     CtmqInputs,
     NonFiniteLossError,
@@ -25,7 +27,7 @@ from bitcycle.schedule import (
     pooled_weight_error,
     run_schedule,
 )
-from bitcycle.tensor import Tensor
+from bitcycle.tensor import Tensor, no_grad
 
 from oracle_schedule import literal_plan
 from test_data import write_idx
@@ -215,6 +217,24 @@ def test_evaluate_batch_size_invariant():
                         rng=np.random.default_rng(0))
     results = [evaluate(model, ds, bs, norm)[:2] for bs in (5, 7, 32)]
     assert results[0] == results[1] == results[2]
+
+
+def test_top5_counts_labels_among_the_five_largest_logits():
+    # 6 classes, so top-5 leaves one out; the set holds images whose label
+    # ranks exactly fifth, which a top-4 count would miss
+    ds = make_synthetic(per_class=8, class_count=6, image_size=12, seed=3, split="test")
+    norm = Normalization.from_train(ds)
+    model = build_model(ModelConfig(stage_channels=(4, 8), blocks_per_stage=(1, 1), num_classes=6,
+                                    bit_depth=2), rng=np.random.default_rng(0))
+    n = len(ds.labels)
+    _, top5, _ = evaluate(model, ds, n, norm)
+    (xb, yb), = data.eval_batches(ds, n, norm=norm)
+    with no_grad():
+        z = model.forward(xb).data
+    # a label's rank: how many logits of its image lie above its own
+    ranks = [sum(v > row[y] for v in row) for row, y in zip(z.tolist(), yb.tolist())]
+    assert 4 in ranks
+    assert top5 == sum(r < 5 for r in ranks) / n
 
 
 def test_pooled_weight_error_zero_at_full_precision():
@@ -655,6 +675,29 @@ def test_resume_refuses_a_phase_end_checkpoint_with_another_optimizer_step(tmp_p
     assert {f: (out / f).read_bytes() for f in before} == before
 
 
+def test_resume_refuses_a_checkpoint_of_zero_epochs(tmp_path):
+    # the phase-end checkpoint of phase 2 (global epochs 0..2), re-saved as
+    # phase 2 at 0 epochs with the iteration, optimizer step and fresh Adam
+    # moments that cursor implies: it covers no epoch of its phase, so
+    # resume refuses it rather than replay the phase from its start
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, "cut", log=_InterruptAfter(4))
+    out = tmp_path / "cut"
+    path = str(out / "checkpoint.bin")
+    ck = load_checkpoint(path)
+    assert (ck.phase_index, ck.epochs_done, ck.metadata["iteration"], ck.step_count) == (2, 1, 6, 2)
+    ck.epochs_done, ck.step_count = 0, 0
+    ck.metadata["iteration"] = 4
+    model, cfg = model_from_checkpoint(ck)
+    ck.optimizer_state = dict(optim.make_optimizer(model.trainable(), cfg.optimizer_config()).state_tensors())
+    save_checkpoint(path, ck)
+    before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+    with pytest.raises(CheckpointError) as err:
+        _run(tmp_path, "cut", resume=True)
+    assert path in str(err.value) and "holds epoch 0, iteration 4 and optimizer step 0" in str(err.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
 def test_resume_refuses_config_text_that_does_not_hash_to_its_digest(tmp_path):
     # the digest still matches the run's config; the text beside it was edited
     with pytest.raises(KeyboardInterrupt):
@@ -841,6 +884,52 @@ def test_rerun_into_a_run_directory_is_refused(tmp_path):
     assert {f: ((out / f).read_bytes(), (out / f).stat().st_mtime_ns) for f in files} == before
 
 
+@contextlib.contextmanager
+def _held_by_another_run(tmp_path, name, resume):
+    """Fork a run into tmp_path/name that stops inside its first
+    on_phase_start, where a pipe tells the parent it is; yields its pid while
+    it holds the directory, then kills it."""
+    ready_r, ready_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            def hold(phase, model):
+                os.write(ready_w, b"x")
+                signal.pause()
+
+            values = tiny_values()
+            values["run.out_dir"] = str(tmp_path / name)
+            run_schedule(RunConfig(values), resume=resume, on_phase_start=hold)
+        finally:
+            os._exit(1)
+    os.close(ready_w)
+    try:
+        assert select.select([ready_r], [], [], 60)[0] and os.read(ready_r, 1) == b"x"
+        yield pid
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(ready_r)
+
+
+@pytest.mark.parametrize("resume", [True, False], ids=["resume", "fresh"])
+def test_a_second_writer_is_refused_while_a_run_holds_the_directory(tmp_path, resume):
+    # two resumes of one cut run, or two fresh starts into one empty
+    # directory: the second is refused, naming the directory and the
+    # holder's pid, before either csv file changes
+    out = tmp_path / "run"
+    if resume:
+        with pytest.raises(KeyboardInterrupt):
+            _run(tmp_path, "run", log=_InterruptAfter(4))
+    with _held_by_another_run(tmp_path, "run", resume) as pid:
+        before = {f: (out / f).read_bytes() for f in ("metrics.csv", "timing.csv")}
+        with pytest.raises(CheckpointError) as err:
+            _run(tmp_path, "run", resume=resume)
+        assert {f: (out / f).read_bytes() for f in before} == before
+    assert str(out) in str(err.value) and f"pid {pid}" in str(err.value)
+    assert (out / "run.lock").read_text() == f"{pid}\n"
+
+
 def test_failed_phase_snapshot_leaves_no_partial_file(tmp_path, monkeypatch):
     def failing_copy(src, dst):
         with open(src, "rb") as f, open(dst, "wb") as g:
@@ -852,7 +941,7 @@ def test_failed_phase_snapshot_leaves_no_partial_file(tmp_path, monkeypatch):
         _run(tmp_path, "run")
     # the snapshot is saved whole; the copy onto checkpoint.bin is what fails
     assert sorted(os.listdir(tmp_path / "run")) == \
-        ["checkpoint_phase000.bin", "config.txt", "metrics.csv", "timing.csv"]
+        ["checkpoint_phase000.bin", "config.txt", "metrics.csv", "run.lock", "timing.csv"]
 
 
 def test_resume_without_checkpoint_fails(tmp_path):
@@ -877,6 +966,21 @@ def test_single_mode_runs(tmp_path):
     rows = run_schedule(RunConfig(values))
     assert [(r.part, r.bit_depth, r.epoch) for r in rows] == \
         [("single", 2, 1), ("single", 2, 2)]
+
+
+def test_periodic_checkpoints_in_a_single_phase_follow_checkpoint_every(tmp_path, monkeypatch):
+    # every 2 epochs inside the phase, and once at its end
+    real = schedule.save_checkpoint
+    saved = []
+
+    def recording(path, ck):
+        saved.append(ck.epochs_done)
+        real(path, ck)
+
+    monkeypatch.setattr(schedule, "save_checkpoint", recording)
+    _run(tmp_path, "single", **{"schedule.mode": "single", "schedule.bit_depth": 2,
+                                "schedule.epochs": 5, "run.checkpoint_every": 2})
+    assert saved == [2, 4, 5]
 
 
 def test_single_mode_warm_start_changes_trajectory(tmp_path):
@@ -931,7 +1035,7 @@ def test_warm_start_from_a_checkpoint_whose_config_text_was_edited_is_refused(tm
         run_schedule(RunConfig(values))
     assert str(err.value).startswith(f"schedule.initial_weights {ckpt}: ")
     assert "does not hash" in str(err.value)
-    assert sorted(os.listdir(out)) == ["metrics.csv"]
+    assert sorted(os.listdir(out)) == ["metrics.csv", "run.lock"]
     assert (out / "metrics.csv").read_bytes() == b"earlier run\n"
 
 
